@@ -215,6 +215,7 @@ def load_csv(path) -> CurveSamples:
             raise DomainError(f"{path}: line 1: header must be s,x,y,z or x,y,z, got {','.join(header)}")
         width = 4 if has_s else 3
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -224,12 +225,16 @@ def load_csv(path) -> CurveSamples:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
+            linenos.append(lineno)
+    data = np.asarray(rows, dtype=float).reshape(-1, width)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite field")
     n = len(rows)
     if n < MIN_SAMPLES:
         raise DomainError(f"{path}: fewer than {MIN_SAMPLES} samples (got {n})")
     if n % 2 == 0:
         raise DomainError(f"{path}: sample count must be odd for the quadrature grid, got {n}")
-    data = np.asarray(rows)
     if has_s:
         s = data[:, 0]
         if np.any(np.diff(s) <= 0):

@@ -8,6 +8,10 @@ widened windows to keep the same truncation order (but carry far more
 roundoff), and statistics helpers let callers drop the first and last few
 samples where boundary effects concentrate.
 
+Stencil weights depend only on the offsets and the derivative order, so each
+order's weights are solved once, on first use, and reused by every later
+derivative call.
+
 Integration and differentiation are used in composition (curves are built by
 integrating a field, then differentiated up to third order), so the
 quadrature's local error must vary smoothly from panel to panel; see
@@ -15,12 +19,10 @@ _cumulative_1d.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
-
-from .errors import DomainError
 
 # Stencils need this much room; Simpson pairing wants an odd count.
 MIN_SAMPLES = 9
@@ -154,18 +156,33 @@ _HALF = {1: 2, 2: 2, 3: 3}
 _EDGE_WINDOW = {1: 6, 2: 6, 3: 7}
 
 
+@cache
+def _weights(order: int):
+    """(center, head, tail) weights for one order: the central stencil, then
+    the one-sided rows for the first and for the last _HALF[order] samples
+    (tail[i] serves sample n-1-i).  Solved on first use; read-only."""
+    half = _HALF[order]
+    win = _EDGE_WINDOW[order]
+    center = _stencil(np.arange(-half, half + 1), order)
+    head = [_stencil(np.arange(win) - i, order) for i in range(half)]
+    tail = [_stencil(np.arange(win) - (win - 1 - i), order) for i in range(half)]
+    for w in (center, *head, *tail):
+        w.flags.writeable = False
+    return center, tuple(head), tuple(tail)
+
+
 def _derivative_1d(y: np.ndarray, order: int, h: float) -> np.ndarray:
     n = y.size
-    half = _HALF[order]
-    center = _stencil(np.arange(-half, half + 1), order)
+    center, head, tail = _weights(order)
+    half = len(head)
+    win = _EDGE_WINDOW[order]
     out = np.empty(n)
     out[half:n - half] = np.correlate(y, center, mode="valid")
-    win = _EDGE_WINDOW[order]
     for i in range(half):
-        out[i] = _stencil(np.arange(win) - i, order) @ y[:win]
-        j = n - 1 - i
-        out[j] = _stencil(np.arange(win) - (win - 1 - i), order) @ y[n - win:]
-    return out / h**order
+        out[i] = head[i] @ y[:win]
+        out[n - 1 - i] = tail[i] @ y[n - win:]
+    out /= h**order
+    return out
 
 
 def derivative(f, order: int):
@@ -179,7 +196,8 @@ def derivative(f, order: int):
 
     Returns
     -------
-    Samples of the same kind holding the order-th derivative.  Interior
+    Samples of the same kind holding the order-th derivative.  The stencil
+    weights of each order are solved once and reused across calls.  Interior
     points are O(h^4); the first and last two rows (three for order 3, all
     within BOUNDARY_MARGIN) use one-sided windows of the same truncation
     order.  Their roundoff is of order sum|w| * ulp(max|f|) / h^order, with
@@ -194,8 +212,10 @@ def derivative(f, order: int):
     if isinstance(f, ScalarSamples):
         return ScalarSamples(f.grid, _derivative_1d(f.data, order, h))
     if isinstance(f, VectorSamples):
-        cols = [_derivative_1d(f.data[:, k], order, h) for k in range(3)]
-        return VectorSamples(f.grid, np.stack(cols, axis=1))
+        out = np.empty((f.grid.n, 3))
+        for k in range(3):
+            out[:, k] = _derivative_1d(f.data[:, k], order, h)
+        return VectorSamples(f.grid, out)
     raise TypeError("derivative expects ScalarSamples or VectorSamples")
 
 
@@ -230,12 +250,9 @@ def cumulative_integral(f, initial=0.0):
         init = np.zeros(3) if initial is None else np.asarray(initial, dtype=float)
         if init.shape == ():
             init = np.full(3, float(init))
-        cols = [_cumulative_1d(f.data[:, k], h, init[k]) for k in range(3)]
-        return VectorSamples(f.grid, np.stack(cols, axis=1))
+        out = np.empty((f.grid.n, 3))
+        for k in range(3):
+            out[:, k] = _cumulative_1d(f.data[:, k], h, init[k])
+        return VectorSamples(f.grid, out)
     raise TypeError("cumulative_integral expects ScalarSamples or VectorSamples")
 
-
-def check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise DomainError if arr contains non-finite entries."""
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite values")

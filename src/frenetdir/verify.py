@@ -27,11 +27,10 @@ from .direction import (
     mannheim_check,
     osculating_coefficients,
 )
-from .frenet import frenet_apparatus
+from .frenet import frenet_apparatus, frenet_derivative_check
 from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
-    VectorSamples,
     cumulative_integral,
     derivative,
     uniform_grid,
@@ -230,20 +229,6 @@ def _orthonormality(f):
     return np.max(np.abs(gram - np.eye(3)))
 
 
-def _frame_system_residual(f, margin=2 * BOUNDARY_MARGIN):
-    dT = derivative(VectorSamples(f.grid, f.T), 1).data
-    dN = derivative(VectorSamples(f.grid, f.N), 1).data
-    dB = derivative(VectorSamples(f.grid, f.B), 1).data
-    k, t = f.kappa[:, None], f.tau[:, None]
-    r1 = np.linalg.norm(dT - k * f.N, axis=1)
-    r2 = np.linalg.norm(dN + k * f.T - t * f.B, axis=1)
-    r3 = np.linalg.norm(dB + t * f.N, axis=1)
-    m = np.zeros(f.grid.n, dtype=bool)
-    m[f.grid.interior(margin)] = True
-    m &= f.frenet_valid
-    return max(np.max(r1[m]), np.max(r2[m]), np.max(r3[m]))
-
-
 # root_curve and spherical_helix have curvature singularities within 1e-3
 # of their default domain ends, so derivative-based suites run on the same
 # trimmed windows the classification examples use
@@ -261,10 +246,10 @@ def _property_rows(ctx):
     dev = max(_orthonormality(_frenet(ctx, name)) for name in catalog_names())
     rows.append(_row("props", "orthonormality", dev, 1e-6))
 
-    dev = max(
-        _frame_system_residual(_frenet(ctx, name, lo, hi))
-        for name, lo, hi in _RESOLVABLE
-    )
+    dev = 0.0
+    for name, lo, hi in _RESOLVABLE:
+        r = frenet_derivative_check(_frenet(ctx, name, lo, hi))
+        dev = max(dev, r.res_T, r.res_N, r.res_B)
     rows.append(_row("props", "frame-system", dev, 1e-4))
 
     dev = 0.0

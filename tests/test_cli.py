@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frenetdir
 from frenetdir.cli import main
 
 
@@ -44,6 +49,16 @@ class TestCatalog:
         code, _, err = run(capsys, "bogus")
         assert code == 1
         assert "usage" in err
+
+
+def test_runs_as_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(frenetdir.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frenetdir", "catalog", "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "circular_helix" in [e["name"] for e in json.loads(proc.stdout)]
 
 
 class TestConfigResolution:
@@ -107,6 +122,17 @@ class TestFrenet:
         path.write_text("s,x,y,z\n0,0,0,0\n0.1,0.1,0,0\n0.2,0.2,0,0\n0.3,0.3,0,0\n")
         code, _, err = run(capsys, "frenet", "--input", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["frenet", "classify"])
+    def test_non_finite_csv_is_domain_error(self, tmp_path, capsys, command):
+        path = tmp_path / "line.csv"
+        write_line_csv(path)
+        lines = path.read_text().splitlines()
+        lines[101] = "1,nan,0,0"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert "line 102: non-finite field" in err
 
     def test_csv_output_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -144,6 +144,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError, match="line 6"):
             load_csv(p)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_first_line(self, tmp_path, field):
+        rows = [f"{i},1,2,3" for i in range(9)]
+        rows[2] = f"2,1,{field},3"
+        rows[6] = f"{field},1,2,3"
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("s,x,y,z\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="line 4: non-finite"):
+            load_csv(p)
+
     def test_xyz_only_is_not_unit_speed(self, tmp_path):
         p = tmp_path / "xyz.csv"
         p.write_text("x,y,z\n" + "".join(f"{i},0,0\n" for i in range(9)), encoding="utf-8")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frenetdir import numerics
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     MIN_SAMPLES,
@@ -127,6 +128,71 @@ class TestDerivative:
             derivative(f, 4)
         with pytest.raises(ValueError, match="order"):
             derivative(f, 0)
+
+
+def _derivative_1d_solving(y, order, h):
+    """Reference kernel that solves every stencil on each call."""
+    n = y.size
+    half = numerics._HALF[order]
+    center = numerics._stencil(np.arange(-half, half + 1), order)
+    out = np.empty(n)
+    out[half:n - half] = np.correlate(y, center, mode="valid")
+    win = numerics._EDGE_WINDOW[order]
+    for i in range(half):
+        out[i] = numerics._stencil(np.arange(win) - i, order) @ y[:win]
+        j = n - 1 - i
+        out[j] = numerics._stencil(np.arange(win) - (win - 1 - i), order) @ y[n - win:]
+    return out / h**order
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_rows_equal_fresh_solves(self, order):
+        half, win = numerics._HALF[order], numerics._EDGE_WINDOW[order]
+        center, head, tail = numerics._weights(order)
+        assert np.array_equal(center, numerics._stencil(np.arange(-half, half + 1), order))
+        assert len(head) == len(tail) == half
+        for i in range(half):
+            assert np.array_equal(head[i], numerics._stencil(np.arange(win) - i, order))
+            assert np.array_equal(tail[i], numerics._stencil(np.arange(win) - (win - 1 - i), order))
+
+    def test_rows_are_read_only(self):
+        center, head, tail = numerics._weights(3)
+        for w in (center, *head, *tail):
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_no_solves_after_warm_up(self, monkeypatch):
+        g = uniform_grid(0.0, 1.0, 41)
+        scalar = ScalarSamples(g, np.sin(g.values))
+        vector = VectorSamples(g, np.stack([np.sin(g.values), g.values**2, np.cos(g.values)], axis=1))
+        for order in (1, 2, 3):
+            derivative(scalar, order)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        for order in (1, 2, 3):
+            derivative(scalar, order)
+            derivative(vector, order)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 41, 201, 2001])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_bit_identical_to_solving_kernel(self, n, order):
+        g = uniform_grid(-1.0, 3.0, n)
+        s = g.values
+        rng = np.random.default_rng(n)
+        data = np.stack([40 * np.sin(3 * s), s**5 - 2 * s, rng.normal(size=n) * 1e3], axis=1)
+        dv = derivative(VectorSamples(g, data), order).data
+        for k in range(3):
+            expected = _derivative_1d_solving(data[:, k], order, g.h)
+            assert np.array_equal(derivative(ScalarSamples(g, data[:, k]), order).data, expected)
+            assert np.array_equal(dv[:, k], expected)
 
 
 class TestCumulativeIntegral:
