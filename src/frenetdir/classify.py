@@ -21,6 +21,7 @@ from .numerics import (
     ScalarSamples,
     constancy,
     derivative,
+    norm,
 )
 
 # a constancy verdict whose level is below this magnitude is the
@@ -170,7 +171,7 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
         raise _no_samples("rectifying_test")
     pts = c.points[mask]
     normal = float(np.max(np.abs(np.einsum("ij,ij->i", pts, f.N[mask]))))
-    scale = float(np.max(np.linalg.norm(pts, axis=1)))
+    scale = float(np.max(norm(pts)))
     normal_component = normal / max(scale, 1e-12)
 
     s = c.grid.values[mask]

@@ -51,7 +51,7 @@ from .direction import (
     principal_direction_curve,
 )
 from .errors import DomainError, NumericalError
-from .frenet import frenet_apparatus
+from .frenet import frame_orthonormality, frenet_apparatus
 from .numerics import BOUNDARY_MARGIN, uniform_grid
 from .od import ODParameters, od_osculating_curve, verify_od_properties
 
@@ -279,15 +279,6 @@ def _write_frenet(f, cfg):
             )
 
 
-def _orthonormality(f):
-    m = f.frenet_valid
-    if not np.any(m):
-        return float("nan")
-    frames = np.stack([f.T[m], f.N[m], f.B[m]], axis=1)
-    gram = np.einsum("nij,nkj->nik", frames, frames)
-    return float(np.max(np.abs(gram - np.eye(3))))
-
-
 def cmd_catalog(args):
     entries = []
     for name in catalog_names():
@@ -321,7 +312,7 @@ def cmd_frenet(args):
     if not np.any(mask):
         raise DomainError("frenet: curvature below floor at every interior sample")
     kappa, tau = f.kappa[mask], f.tau[mask]
-    ortho = _orthonormality(f)
+    ortho = frame_orthonormality(f)
     print(f"samples: {f.grid.n} on [{f.grid.values[0]:g}, {f.grid.values[-1]:g}]"
           f" ({int(mask.sum())} interior with frame)")
     print(f"kappa: mean={kappa.mean():.7g} min={kappa.min():.7g} max={kappa.max():.7g}")

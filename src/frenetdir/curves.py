@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import asin, cos, pi, sqrt
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError
 from .numerics import (
@@ -22,6 +21,7 @@ from .numerics import (
     VectorSamples,
     cumulative_integral,
     derivative,
+    norm,
     uniform_grid,
 )
 
@@ -38,6 +38,7 @@ class CurveSamples:
 
     unit_speed records whether the grid parameter is arc length; consumers
     that require arc length check the flag instead of re-deriving it.
+    Non-finite points raise DomainError naming the first such sample.
     """
 
     grid: Grid
@@ -48,6 +49,9 @@ class CurveSamples:
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (self.grid.n, 3):
             raise ValueError(f"points shape {pts.shape} does not match grid n={self.grid.n}")
+        if not np.isfinite(pts).all():
+            i = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise DomainError(f"non-finite point at sample {i} (s={self.grid.values[i]:g})")
         object.__setattr__(self, "points", pts)
 
 
@@ -185,7 +189,7 @@ def evaluate_catalog(name: str, parameters=None, grid: Grid = None) -> CurveSamp
 def numerical_speed(c: CurveSamples) -> ScalarSamples:
     """Norm of the numerical first derivative of the points."""
     d1 = derivative(VectorSamples(c.grid, c.points), 1)
-    return ScalarSamples(c.grid, np.linalg.norm(d1.data, axis=1))
+    return ScalarSamples(c.grid, norm(d1.data))
 
 
 def unit_speed_deviation(c: CurveSamples) -> float:
@@ -265,7 +269,10 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
     The arc-length function is accumulated from the numerical speed and
     inverted with a monotone cubic interpolant; points are then evaluated
     through a C^2 spline so the output stays smooth enough to differentiate.
+    scipy is imported here, on first use, to keep it off `import frenetdir`.
     """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     speed = numerical_speed(c)
     if np.min(speed.data) <= SPEED_FLOOR:
         i = int(np.argmin(speed.data))

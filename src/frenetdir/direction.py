@@ -22,11 +22,17 @@ from .numerics import (
     VectorSamples,
     cumulative_integral,
     derivative,
+    norm,
 )
 
 # |sin theta| or |cos theta| below this marks a sample as degenerate for
 # classification purposes (the construction itself stays smooth there)
 DEGENERACY_FLOOR = 1e-6
+
+# mannheim_check skips rows where the constructed curve's curvature is below
+# this fraction of the donor's: there |v| is tiny, the curvature is at the
+# roundoff level of its second differences, and its normal is noise
+MANNHEIM_KAPPA_FRACTION = 1e-3
 
 
 def _runs_to_intervals(grid: Grid, bad: np.ndarray) -> str:
@@ -95,7 +101,7 @@ def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
 def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveSamples:
     """Integral curve of a unit field; its parameter is arc length by
     construction, so the result is marked unit_speed."""
-    norms = np.linalg.norm(X.data, axis=1)
+    norms = norm(X.data)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > 1e-6:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
@@ -223,7 +229,8 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
 @dataclass(frozen=True)
 class MannheimReport:
     """Alignment of the constructed curve's normal with the donor binormal
-    at shared parameter values."""
+    at shared parameter values, over rows where both frames are resolved
+    (see MANNHEIM_KAPPA_FRACTION)."""
 
     min_alignment: float
     passed: bool
@@ -234,7 +241,7 @@ def mannheim_check(g: FrenetData, f: FrenetData, tol: float = 1e-4) -> MannheimR
     _require_same_grid(g.grid, f.grid)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mask = g.valid_interior() & f.frenet_valid
+    mask = g.valid_interior() & f.frenet_valid & (g.kappa >= MANNHEIM_KAPPA_FRACTION * f.kappa)
     if not np.any(mask):
         return MannheimReport(np.nan, passed=True, vacuous=True)
     align = np.abs(np.einsum("ij,ij->i", g.N[mask], f.B[mask]))

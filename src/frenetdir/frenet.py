@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import CurveSamples
 from .errors import DomainError
-from .numerics import BOUNDARY_MARGIN, Grid, VectorSamples, derivative
+from .numerics import BOUNDARY_MARGIN, Grid, VectorSamples, cross, derivative, norm
 
 KAPPA_FLOOR = 1e-9
 
@@ -64,20 +64,20 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     d2 = derivative(pts, 2).data
     d3 = derivative(pts, 3).data
 
-    cross = np.cross(d1, d2)
-    kappa = np.linalg.norm(cross, axis=1)
+    d1xd2 = cross(d1, d2)
+    kappa = norm(d1xd2)
     valid = kappa >= KAPPA_FLOOR
 
     # T is normalized so the triad is orthonormal by construction: B is unit
     # and perpendicular to d1 already, and N = B x T inherits both.  The
     # magnitude correction is the O(h^4) speed defect, well under any frame
     # tolerance in use.
-    T = d1 / np.linalg.norm(d1, axis=1)[:, None]
+    T = d1 / norm(d1)[:, None]
     # safe denominator; invalid rows are overwritten with NaN below
     denom = np.where(valid, kappa, 1.0)
-    B = cross / denom[:, None]
-    N = np.cross(B, T)
-    tau = np.einsum("ij,ij->i", cross, d3) / denom**2
+    B = d1xd2 / denom[:, None]
+    N = cross(B, T)
+    tau = np.einsum("ij,ij->i", d1xd2, d3) / denom**2
     B[~valid] = np.nan
     N[~valid] = np.nan
     tau[~valid] = np.nan
@@ -116,13 +116,13 @@ def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
         return float(np.max(np.abs(x)))
 
     devs = FrameCheck(
-        norm_T=_max(np.linalg.norm(T, axis=1) - 1.0),
-        norm_N=_max(np.linalg.norm(N, axis=1) - 1.0),
-        norm_B=_max(np.linalg.norm(B, axis=1) - 1.0),
+        norm_T=_max(norm(T) - 1.0),
+        norm_N=_max(norm(N) - 1.0),
+        norm_B=_max(norm(B) - 1.0),
         dot_TN=_max(np.einsum("ij,ij->i", T, N)),
         dot_TB=_max(np.einsum("ij,ij->i", T, B)),
         dot_NB=_max(np.einsum("ij,ij->i", N, B)),
-        handedness=_max(np.einsum("ij,ij->i", np.cross(T, N), B) - 1.0),
+        handedness=_max(np.einsum("ij,ij->i", cross(T, N), B) - 1.0),
         passed=False,
         vacuous=False,
     )
@@ -132,6 +132,17 @@ def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
     )
     object.__setattr__(devs, "passed", bool(worst < tol))
     return devs
+
+
+def frame_orthonormality(f: FrenetData) -> float:
+    """max |G - I| of the Gram matrix G of (T, N, B) over every
+    frenet_valid row, boundary rows included; NaN when no row has a frame."""
+    m = f.frenet_valid
+    if not np.any(m):
+        return float("nan")
+    frames = np.stack([f.T[m], f.N[m], f.B[m]], axis=1)
+    gram = np.einsum("nij,nkj->nik", frames, frames)
+    return float(np.max(np.abs(gram - np.eye(3))))
 
 
 @dataclass(frozen=True)
@@ -160,9 +171,9 @@ def frenet_derivative_check(f: FrenetData, tol: float = 1e-4,
         dB = derivative(VectorSamples(f.grid, f.B), 1).data
         k = f.kappa[:, None]
         t = f.tau[:, None]
-        rT = np.linalg.norm(dT - k * f.N, axis=1)
-        rN = np.linalg.norm(dN + k * f.T - t * f.B, axis=1)
-        rB = np.linalg.norm(dB + t * f.N, axis=1)
+        rT = norm(dT - k * f.N)
+        rN = norm(dN + k * f.T - t * f.B)
+        rB = norm(dB + t * f.N)
     mask = f.valid_interior(margin) & np.isfinite(rT) & np.isfinite(rN) & np.isfinite(rB)
     if not np.any(mask):
         return ResidualCheck(0.0, 0.0, 0.0, passed=True, vacuous=True)

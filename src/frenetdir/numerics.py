@@ -1,5 +1,6 @@
-"""Uniform grids, high-order finite differences, cumulative quadrature, and
-constancy detection.
+"""Uniform grids, high-order finite differences, cumulative quadrature,
+constancy detection, and the row-wise cross product and norm of (n, 3)
+sample arrays.
 
 Everything downstream differentiates or integrates sampled data through this
 module, so the accuracy budget of the whole package is set here: interior
@@ -135,6 +136,26 @@ def is_constant(f, rel_tol: float) -> ConstancyReport:
         raise ValueError("rel_tol must be positive")
     data = f.data if isinstance(f, ScalarSamples) else np.asarray(f, dtype=float)
     return constancy(data, rel_tol)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays, bit-identical to
+    np.cross(a, b) (same products, same subtraction per component) but
+    written column by column into one preallocated C-ordered output."""
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
+def norm(a: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm of an (n, 3) array, bit-identical to
+    np.linalg.norm(a, axis=1): the squares are summed in the same order."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
 
 
 def _stencil(offsets: np.ndarray, order: int) -> np.ndarray:

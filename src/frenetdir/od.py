@@ -43,7 +43,9 @@ from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
     VectorSamples,
+    cross,
     cumulative_integral,
+    norm,
 )
 
 # ratio and cross-product statistics skip samples where curvature is this
@@ -99,9 +101,10 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
     """
     if not np.any(f.frenet_valid):
         raise DomainError("modified_darboux: curvature below floor everywhere")
-    out = np.full((f.grid.n, 3), np.nan)
-    m = f.frenet_valid
-    out[m] = (f.tau[m] / f.kappa[m])[:, None] * f.T[m] + f.B[m]
+    # whole-array arithmetic; rows without a frame are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (f.tau / f.kappa)[:, None] * f.T + f.B
+    out[~f.frenet_valid] = np.nan
     return VectorSamples(f.grid, out)
 
 
@@ -167,9 +170,9 @@ def verify_od_properties(
     axis = modified_darboux(g).data
     pts = cu.points[mask]
     ax = axis[mask]
-    cross = np.linalg.norm(np.cross(pts, ax), axis=1)
-    denom = np.linalg.norm(pts, axis=1) * np.linalg.norm(ax, axis=1)
-    cross_ratio = float(np.max(cross / np.maximum(denom, 1e-12)))
+    sine = norm(cross(pts, ax))
+    denom = norm(pts) * norm(ax)
+    cross_ratio = float(np.max(sine / np.maximum(denom, 1e-12)))
 
     passed = bool(
         rect.is_rectifying

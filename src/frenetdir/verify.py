@@ -27,12 +27,13 @@ from .direction import (
     mannheim_check,
     osculating_coefficients,
 )
-from .frenet import frenet_apparatus, frenet_derivative_check
+from .frenet import frame_orthonormality, frenet_apparatus, frenet_derivative_check
 from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
     cumulative_integral,
     derivative,
+    norm,
     uniform_grid,
 )
 from .od import ODParameters, od_osculating_curve, verify_od_properties
@@ -222,13 +223,6 @@ def _rectifying_rows(ctx):
     return rows
 
 
-def _orthonormality(f):
-    m = f.frenet_valid
-    frames = np.stack([f.T[m], f.N[m], f.B[m]], axis=1)
-    gram = np.einsum("nij,nkj->nik", frames, frames)
-    return np.max(np.abs(gram - np.eye(3)))
-
-
 # root_curve and spherical_helix have curvature singularities within 1e-3
 # of their default domain ends, so derivative-based suites run on the same
 # trimmed windows the classification examples use
@@ -243,7 +237,7 @@ _RESOLVABLE = (
 def _property_rows(ctx):
     rows = []
 
-    dev = max(_orthonormality(_frenet(ctx, name)) for name in catalog_names())
+    dev = max(frame_orthonormality(_frenet(ctx, name)) for name in catalog_names())
     rows.append(_row("props", "orthonormality", dev, 1e-6))
 
     dev = 0.0
@@ -257,7 +251,7 @@ def _property_rows(ctx):
         f = _frenet(ctx, name, lo, hi)
         dc = osculating_coefficients(f, np.pi / 4)
         x = direction_field(f, dc).data
-        dev = max(dev, np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)))
+        dev = max(dev, np.max(np.abs(norm(x) - 1.0)))
     rows.append(_row("props", "unit-fields", dev, 1e-9))
 
     def deriv_err(n, order, exact):

@@ -281,6 +281,15 @@ class TestClassify:
         assert rep.is_general_helix
         assert abs(rep.helix_ratio.mean - 1.0) < 1e-3
 
+    def test_nan_point_rejected_before_classify(self):
+        # a NaN sample used to reach classify, which then called the helix
+        # a slant helix and not a general helix without raising
+        c = evaluate_catalog("circular_helix")
+        pts = c.points.copy()
+        pts[500, 1] = np.nan
+        with pytest.raises(DomainError, match=r"non-finite point at sample 500 \(s=3\.14159\)"):
+            classify(CurveSamples(c.grid, pts, unit_speed=True))
+
 
 def theorem_pairs():
     f1 = donor("circular_helix")

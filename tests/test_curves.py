@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frenetdir
 from frenetdir.curves import (
     CatalogEntry,
     CurveSamples,
@@ -154,6 +160,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError, match="line 4: non-finite"):
             load_csv(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_samples_name_first_non_finite_point(self, value):
+        g = uniform_grid(0.0, 8.0, 9)
+        pts = np.zeros((9, 3))
+        pts[5, 2] = value
+        pts[7, 0] = value
+        with pytest.raises(DomainError, match=r"sample 5 \(s=5\)"):
+            CurveSamples(g, pts, unit_speed=False)
+
     def test_xyz_only_is_not_unit_speed(self, tmp_path):
         p = tmp_path / "xyz.csv"
         p.write_text("x,y,z\n" + "".join(f"{i},0,0\n" for i in range(9)), encoding="utf-8")
@@ -233,3 +248,12 @@ def test_numerical_speed_of_catalog_curves_near_one():
         c = evaluate_catalog(name)
         sp = numerical_speed(c).data[c.grid.interior()]
         assert np.max(np.abs(sp - 1.0)) < 1e-4, name
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported on first arclength_reparametrize call, not on import
+    env = dict(os.environ, PYTHONPATH=str(Path(frenetdir.__file__).parents[1]))
+    code = "import sys, frenetdir; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

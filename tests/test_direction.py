@@ -351,6 +351,33 @@ class TestMannheim:
         assert not report.passed
         assert report.min_alignment < 1e-9
 
+    def test_roundoff_level_curvature_rows_skipped(self):
+        # at row 77817 |v| = 2.4e-6, so the constructed curve's curvature
+        # (1.7e-7) sits at the roundoff level of its second differences and
+        # its normal is noise (1 - alignment was 1.4e-4 there)
+        params = {"a": 1.8305506691010058, "b": 0.3684369591328579, "scale": 1.5090962211505463}
+        s0, n, h = 5.938171907188474, 200001, 2 * np.pi / 1000
+        grid = uniform_grid(s0, s0 + (n - 1) * h, n)
+        f = frenet_apparatus(evaluate_catalog("circular_helix", params, grid))
+        g = frenet_apparatus(
+            integrate_direction_curve(direction_field(f, osculating_coefficients(f, 4.256404254737284)))
+        )
+        report = mannheim_check(g, f)
+        assert report.passed and not report.vacuous
+        assert report.min_alignment >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("v", [1e-5, 1e-6, 1e-7])
+    def test_far_from_origin_near_zero_v(self, v):
+        # samples at |p| ~ 2e4 raise the second-difference roundoff to
+        # ~1e-7, above the constructed curvature tau |v| at row 1000
+        f = frenet_apparatus(evaluate_catalog("circular_helix"))
+        phase = np.pi / 2 + v - f.kappa[1000] * f.grid.values[1000]
+        dc = osculating_coefficients(f, phase)
+        g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc), start=(1e4, 1e4, 1e4)))
+        assert abs(dc.v[1000]) < 2 * v
+        report = mannheim_check(g, f)
+        assert report.passed and not report.vacuous
+
     def test_grid_mismatch_rejected(self):
         f, _, g = constructed("circular_helix")
         f2 = frenet_apparatus(

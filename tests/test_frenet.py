@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from frenetdir.curves import CurveSamples, evaluate_catalog
+from frenetdir.curves import CurveSamples, catalog_names, evaluate_catalog
 from frenetdir.errors import DomainError
 from frenetdir.frenet import (
     KAPPA_FLOOR,
     FrenetData,
+    frame_orthonormality,
     frenet_apparatus,
     frenet_derivative_check,
     verify_frame,
 )
-from frenetdir.numerics import uniform_grid
+from frenetdir.numerics import VectorSamples, derivative, uniform_grid
 
 from oracles import FRAME_ORACLES
 
@@ -94,13 +95,41 @@ class TestAgainstClosedForms:
             assert np.max(relt) < tol_t, margin
 
     def test_kappa_equals_norm_of_second_derivative(self):
-        from frenetdir.numerics import VectorSamples, derivative
-
         for name in ("circular_helix", "helix_12_5"):
             c, f = catalog_frenet(name)
             d2 = derivative(VectorSamples(c.grid, c.points), 2).data
             inner = c.grid.interior()
             assert np.max(np.abs(f.kappa[inner] - np.linalg.norm(d2, axis=1)[inner])) < 1e-6
+
+
+def _frenet_apparatus_numpy(c):
+    """The apparatus as computed with np.cross and np.linalg.norm, kept as
+    the reference the row-wise kernels must reproduce bit for bit."""
+    pts = VectorSamples(c.grid, c.points)
+    d1, d2, d3 = (derivative(pts, k).data for k in (1, 2, 3))
+    d1xd2 = np.cross(d1, d2)
+    kappa = np.linalg.norm(d1xd2, axis=1)
+    valid = kappa >= KAPPA_FLOOR
+    T = d1 / np.linalg.norm(d1, axis=1)[:, None]
+    denom = np.where(valid, kappa, 1.0)
+    B = d1xd2 / denom[:, None]
+    N = np.cross(B, T)
+    tau = np.einsum("ij,ij->i", d1xd2, d3) / denom**2
+    B[~valid] = np.nan
+    N[~valid] = np.nan
+    tau[~valid] = np.nan
+    return T, N, B, kappa, tau, valid
+
+
+class TestNumpyReference:
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("n", [201, 2001])
+    def test_bit_identical(self, name, n):
+        c, f = catalog_frenet(name, n)
+        T, N, B, kappa, tau, valid = _frenet_apparatus_numpy(c)
+        for got, expected in ((f.T, T), (f.N, N), (f.B, B), (f.kappa, kappa), (f.tau, tau)):
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(f.frenet_valid, valid)
 
 
 class TestVerifyFrame:
@@ -125,6 +154,7 @@ class TestVerifyFrame:
         r = verify_frame(f, tol=1e-6)
         assert r.passed
         assert r.vacuous
+        assert np.isnan(frame_orthonormality(f))
 
 
 class TestDerivativeIdentities:

@@ -12,9 +12,11 @@ from frenetdir.numerics import (
     ScalarSamples,
     VectorSamples,
     constancy,
+    cross,
     cumulative_integral,
     derivative,
     is_constant,
+    norm,
     uniform_grid,
 )
 
@@ -193,6 +195,39 @@ class TestWeightTable:
             expected = _derivative_1d_solving(data[:, k], order, g.h)
             assert np.array_equal(derivative(ScalarSamples(g, data[:, k]), order).data, expected)
             assert np.array_equal(dv[:, k], expected)
+
+
+
+def _row_vectors(n, seed):
+    """(n, 3) pairs of every memory layout the kernels meet, with NaN and
+    inf rows: C-ordered, a masked copy, strided column views of a wider
+    array, and an F-ordered copy."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(size=(2, n, 6)) * np.array([1e-3, 1.0, 1e3, 7.0, 1e6, 0.5])
+    wide[:, n // 2, 1] = np.nan
+    wide[:, n // 3, 4] = np.inf
+    a, b = wide[0, :, :3].copy(), wide[1, :, 3:].copy()
+    mask = rng.random(n) < 0.7
+    return {
+        "C": (a, b),
+        "masked": (a[mask], b[mask]),
+        "strided": (wide[0, :, ::2], wide[1, :, 1::2]),
+        "F": (np.asfortranarray(a), np.asfortranarray(b)),
+    }
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 201, 200001])
+    @pytest.mark.parametrize("layout", ["C", "masked", "strided", "F"])
+    def test_bit_identical_to_numpy(self, n, layout):
+        a, b = _row_vectors(n, n)[layout]
+        with np.errstate(invalid="ignore"):
+            expected_cross = np.cross(a, b)
+            got_cross = cross(a, b)
+        assert got_cross.flags.c_contiguous
+        assert np.array_equal(got_cross, expected_cross, equal_nan=True)
+        assert np.array_equal(norm(a), np.linalg.norm(a, axis=1), equal_nan=True)
+        assert np.array_equal(norm(b), np.linalg.norm(b, axis=1), equal_nan=True)
 
 
 class TestCumulativeIntegral:

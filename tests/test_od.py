@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,19 @@ class TestModifiedDarboux:
     def test_line_raises(self):
         with pytest.raises(DomainError, match="below floor everywhere"):
             modified_darboux(frenet_apparatus(straight_segment()))
+
+    def test_equals_masked_row_formula(self):
+        # whole-array arithmetic then NaN rows: bit-identical to computing
+        # only the rows that have a frame
+        f = donor("circular_helix")
+        dc = osculating_coefficients(f, np.pi / 4)
+        g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc)))
+        # rows marked invalid by hand keep finite values that must not leak
+        g = replace(g, frenet_valid=g.frenet_valid & (np.arange(g.grid.n) % 7 != 0))
+        m = g.frenet_valid
+        expected = np.full((g.grid.n, 3), np.nan)
+        expected[m] = (g.tau[m] / g.kappa[m])[:, None] * g.T[m] + g.B[m]
+        assert np.array_equal(modified_darboux(g).data, expected, equal_nan=True)
 
 
 class TestVerify:
