@@ -33,6 +33,31 @@ def _no_samples(who: str) -> DomainError:
     return DomainError(f"{who}: no usable samples (curvature below floor or all boundary)")
 
 
+def _constancy_or_zero(vals: np.ndarray, rel_tol: float) -> ConstancyReport:
+    """constancy(vals, rel_tol), except that a median magnitude below
+    ZERO_LEVEL is the identically-zero case: constant, degenerate_zero set,
+    and the spread measured against ZERO_LEVEL instead of the median."""
+    if np.median(np.abs(vals)) < ZERO_LEVEL:
+        return ConstancyReport(
+            mean=float(vals.mean()),
+            min=float(vals.min()),
+            max=float(vals.max()),
+            rel_variation=float(vals.max() - vals.min()) / ZERO_LEVEL,
+            is_constant=True,
+            degenerate_zero=True,
+        )
+    return constancy(vals, rel_tol)
+
+
+def _resolved_ratio(f: FrenetData, floor: float) -> np.ndarray:
+    """Rows where curvature is at least floor times the curvature/torsion
+    norm; below that the torsion/curvature ratio nears its pole and its
+    derivative stencils produce finite garbage."""
+    with np.errstate(invalid="ignore"):
+        frac = f.kappa / np.sqrt(f.kappa**2 + f.tau**2)
+    return np.nan_to_num(frac) >= floor
+
+
 def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     """Constancy verdict on torsion/curvature over usable samples.
 
@@ -45,17 +70,7 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("general_helix_test")
-    vals = f.tau[mask] / f.kappa[mask]
-    if np.median(np.abs(vals)) < ZERO_LEVEL:
-        return ConstancyReport(
-            mean=float(vals.mean()),
-            min=float(vals.min()),
-            max=float(vals.max()),
-            rel_variation=float(vals.max() - vals.min()) / ZERO_LEVEL,
-            is_constant=True,
-            degenerate_zero=True,
-        )
-    return constancy(vals, rel_tol)
+    return _constancy_or_zero(f.tau[mask] / f.kappa[mask], rel_tol)
 
 
 def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
@@ -99,26 +114,13 @@ def slant_helix_test(
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     sigma = slant_helix_invariant(f).data
-    mask = np.zeros(f.grid.n, dtype=bool)
-    mask[f.grid.interior(3 * BOUNDARY_MARGIN)] = True
-    mask &= np.isfinite(sigma)
-    if cos_floor > 0.0:
-        with np.errstate(invalid="ignore"):
-            frac = f.kappa / np.sqrt(f.kappa**2 + f.tau**2)
-        mask &= np.nan_to_num(frac) >= cos_floor
+    # sigma is NaN wherever the frame is undefined, so frenet_valid adds
+    # nothing to the finiteness test
+    mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma)
+    mask &= _resolved_ratio(f, cos_floor)
     if not np.any(mask):
         raise _no_samples("slant_helix_test")
-    vals = np.abs(sigma[mask])
-    if np.median(vals) < ZERO_LEVEL:
-        return ConstancyReport(
-            mean=float(vals.mean()),
-            min=float(vals.min()),
-            max=float(vals.max()),
-            rel_variation=float(vals.max() - vals.min()) / ZERO_LEVEL,
-            is_constant=True,
-            degenerate_zero=True,
-        )
-    return constancy(vals, rel_tol)
+    return _constancy_or_zero(np.abs(sigma[mask]), rel_tol)
 
 
 def line_test(f: FrenetData, abs_tol: float = 1e-6) -> bool:
@@ -142,6 +144,13 @@ class LineFit:
     slope: float
     intercept: float
     max_residual: float
+
+
+def _fit_line(s: np.ndarray, ratio: np.ndarray) -> LineFit:
+    """Least-squares line of ratio against s, with its worst residual."""
+    slope, intercept = np.polyfit(s, ratio, 1)
+    residual = float(np.max(np.abs(ratio - (slope * s + intercept))))
+    return LineFit(slope=float(slope), intercept=float(intercept), max_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -175,12 +184,9 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     normal_component = normal / max(scale, 1e-12)
 
     s = c.grid.values[mask]
-    ratio = f.tau[mask] / f.kappa[mask]
-    slope, intercept = np.polyfit(s, ratio, 1)
-    residual = float(np.max(np.abs(ratio - (slope * s + intercept))))
+    fit = _fit_line(s, f.tau[mask] / f.kappa[mask])
     span = float(s[-1] - s[0])
-    fit = LineFit(slope=float(slope), intercept=float(intercept), max_residual=residual)
-    ok = normal_component < tol and residual < tol * (1.0 + abs(slope) * span)
+    ok = normal_component < tol and fit.max_residual < tol * (1.0 + abs(fit.slope) * span)
     return RectifyingReport(normal_component=normal_component, fit=fit, is_rectifying=bool(ok))
 
 

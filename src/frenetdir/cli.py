@@ -9,7 +9,9 @@ defaults, in that order of increasing precedence (flags win).
 Config files are line oriented `key = value` text; keys match the long
 flag names with either - or _ and # starts a comment line.  The config
 file applies to the frenet, direct, classify and od commands; catalog
-and verify take only their own flags.
+and verify take only their own flags.  Each option of those four
+commands is declared once, in _OPTIONS; float values must be finite and
+tolerances positive, whichever source they come from.
 
 Exit codes are stable: 0 success, 1 usage or configuration error, 2
 domain precondition violated by the data, 3 numerical failure (including
@@ -21,10 +23,12 @@ configuration yields byte-identical files.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from .direction import (
 )
 from .errors import DomainError, NumericalError
 from .frenet import frame_orthonormality, frenet_apparatus
-from .numerics import BOUNDARY_MARGIN, uniform_grid
+from .numerics import uniform_grid
 from .od import ODParameters, od_osculating_curve, verify_od_properties
 
 # short factual description per catalog entry, shown by `catalog`
@@ -63,27 +67,49 @@ _ABOUT = {
     "spherical_helix": "spherical general helix with torsion = -2 curvature",
 }
 
-_DEFAULTS = {
-    "curve": None,
-    "input": None,
-    "params": "",
-    "s_min": None,
-    "s_max": None,
-    "n": 2001,
-    "phase_c": 0.0,
-    "a": 1.0,
-    "b": 1.0,
-    "family": "osculating",
-    "tol_rel": 1e-3,
-    "tol_frame": 1e-6,
-    "tol_od": 2e-2,
-    "output": None,
-    "format": "csv",
+# the subcommands that read a curve, with their help lines
+_CURVE_COMMANDS = {
+    "frenet": "frame, curvature and torsion of a curve",
+    "direct": "construct a direction curve and check it",
+    "classify": "line/plane/helix/slant/rectifying verdicts as json",
+    "od": "osculating-plane companion curve and its checks",
 }
 
-_FLOAT_KEYS = {"s_min", "s_max", "phase_c", "a", "b", "tol_rel", "tol_frame", "tol_od"}
-_INT_KEYS = {"n"}
-_FAMILIES = ("osculating", "principal", "binormal")
+
+class _Option(NamedTuple):
+    type: type
+    default: object
+    help: str
+    commands: tuple = tuple(_CURVE_COMMANDS)
+    choices: Optional[tuple] = None
+
+
+# every option of the curve commands, in argparse order; the flag is
+# --<key> with _ spelled -, and config files accept the key either way
+_OPTIONS = {
+    "curve": _Option(str, None, "catalog curve name"),
+    "input": _Option(str, None, "CSV file with s,x,y,z or x,y,z rows"),
+    "params": _Option(str, "", "catalog parameter overrides k=v,..."),
+    "s_min": _Option(float, None, "grid start (default: catalog domain)"),
+    "s_max": _Option(float, None, "grid end (default: catalog domain)"),
+    "n": _Option(int, 2001, "sample count, odd"),
+    "output": _Option(str, None, "write sampled data here"),
+    "format": _Option(str, "csv", "output file format", choices=("csv", "json")),
+    "tol_rel": _Option(float, 1e-3, "constancy tolerance"),
+    "tol_frame": _Option(float, 1e-6, "frame tolerance"),
+    "tol_od": _Option(float, 2e-2, "companion-check tolerance"),
+    "family": _Option(
+        str, "osculating", "direction family", ("direct",),
+        ("osculating", "principal", "binormal"),
+    ),
+    "phase_c": _Option(float, 0.0, "phase constant", ("direct", "od")),
+    "a": _Option(float, 1.0, "binormal-component constant, nonzero", ("od",)),
+    "b": _Option(float, 1.0, "arc-length offset, nonzero", ("od",)),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 class _UsageError(Exception):
@@ -94,39 +120,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options of one command invocation."""
-
-    curve: object
-    input: object
-    params: dict
-    s_min: object
-    s_max: object
-    n: int
-    phase_c: float
-    a: float
-    b: float
-    family: str
-    tol_rel: float
-    tol_frame: float
-    tol_od: float
-    output: object
-    format: str
-
-
-def _coerce(key, value):
-    if isinstance(value, str):
-        try:
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key in _INT_KEYS:
-                return int(value)
-        except ValueError:
-            raise ValueError(f"config key {key}: cannot parse {value!r}") from None
-    return value
 
 
 def _read_config(path):
@@ -144,9 +137,12 @@ def _read_config(path):
             raise ValueError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, value.strip())
+        try:
+            out[key] = _OPTIONS[key].type(value.strip())
+        except ValueError:
+            raise ValueError(f"config key {key}: cannot parse {value.strip()!r}") from None
     return out
 
 
@@ -166,25 +162,29 @@ def _parse_params(text):
 
 
 def _resolve_config(args):
-    cfg = dict(_DEFAULTS)
+    """Defaults, then FD_CONFIG, then --config, then flags; validated."""
+    cfg = {key: opt.default for key, opt in _OPTIONS.items()}
     env_path = os.environ.get("FD_CONFIG")
     if env_path:
         cfg.update(_read_config(env_path))
     if getattr(args, "config", None):
         cfg.update(_read_config(args.config))
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     cfg["params"] = _parse_params(cfg["params"])
-    if cfg["format"] not in ("csv", "json"):
-        raise ValueError(f"--format must be csv or json, got {cfg['format']!r}")
-    if cfg["family"] not in _FAMILIES:
-        raise ValueError(f"--family must be one of {', '.join(_FAMILIES)}")
-    for key in ("tol_rel", "tol_frame", "tol_od"):
-        if cfg[key] <= 0:
-            raise ValueError(f"--{key.replace('_', '-')} must be positive")
-    return RunConfig(**cfg)
+    for key, opt in _OPTIONS.items():
+        value = cfg[key]
+        if opt.choices and value not in opt.choices:
+            raise ValueError(
+                f"{_flag(key)} must be one of {', '.join(opt.choices)}, got {value!r}"
+            )
+        if opt.type is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"{_flag(key)} must be finite, got {value!r}")
+        if key.startswith("tol_") and not value > 0:
+            raise ValueError(f"{_flag(key)} must be positive")
+    return argparse.Namespace(**cfg)
 
 
 def _source_curve(cfg):
@@ -306,9 +306,7 @@ def cmd_frenet(args):
     cfg = _resolve_config(args)
     c = _unit_speed(_source_curve(cfg))
     f = frenet_apparatus(c)
-    mask = np.zeros(f.grid.n, dtype=bool)
-    mask[f.grid.interior(BOUNDARY_MARGIN)] = True
-    mask &= f.frenet_valid
+    mask = f.valid_interior()
     if not np.any(mask):
         raise DomainError("frenet: curvature below floor at every interior sample")
     kappa, tau = f.kappa[mask], f.tau[mask]
@@ -353,19 +351,6 @@ def cmd_direct(args):
     return 0
 
 
-def _constancy_payload(rep):
-    if rep is None:
-        return None
-    return {
-        "mean": rep.mean,
-        "min": rep.min,
-        "max": rep.max,
-        "rel_variation": rep.rel_variation,
-        "is_constant": rep.is_constant,
-        "degenerate_zero": rep.degenerate_zero,
-    }
-
-
 def cmd_classify(args):
     cfg = _resolve_config(args)
     # reports are json only; the shared --format flag exists for the
@@ -374,30 +359,7 @@ def cmd_classify(args):
         raise ValueError("classify reports are json only; drop --format csv")
     c = _source_curve(cfg)
     rep = classify(c, rel_tol=cfg.tol_rel, rect_tol=cfg.tol_od)
-    rect = None
-    if rep.rectifying is not None:
-        rect = {
-            "normal_component": rep.rectifying.normal_component,
-            "fit": {
-                "slope": rep.rectifying.fit.slope,
-                "intercept": rep.rectifying.fit.intercept,
-                "max_residual": rep.rectifying.fit.max_residual,
-            },
-            "is_rectifying": rep.rectifying.is_rectifying,
-        }
-    _dump_json(
-        {
-            "is_line": rep.is_line,
-            "is_plane": rep.is_plane,
-            "is_general_helix": rep.is_general_helix,
-            "is_slant_helix": rep.is_slant_helix,
-            "is_rectifying": rep.is_rectifying,
-            "helix_ratio": _constancy_payload(rep.helix_ratio),
-            "sigma_it": _constancy_payload(rep.sigma_it),
-            "rectifying": rect,
-        },
-        cfg.output,
-    )
+    _dump_json(dataclasses.asdict(rep), cfg.output)
     return 0
 
 
@@ -447,21 +409,6 @@ def cmd_verify(args):
     return 0 if passed == len(rows) else 3
 
 
-def _add_source_flags(p):
-    p.add_argument("--curve", help="catalog curve name")
-    p.add_argument("--input", help="CSV file with s,x,y,z or x,y,z rows")
-    p.add_argument("--params", help="catalog parameter overrides k=v,...")
-    p.add_argument("--s-min", dest="s_min", type=float, help="grid start (default: catalog domain)")
-    p.add_argument("--s-max", dest="s_max", type=float, help="grid end")
-    p.add_argument("--n", type=int, help="sample count, odd (default 2001)")
-    p.add_argument("--config", help="config file (key = value lines)")
-    p.add_argument("--output", help="write sampled data here")
-    p.add_argument("--format", choices=("csv", "json"), help="output file format (default csv)")
-    p.add_argument("--tol-rel", dest="tol_rel", type=float, help="constancy tolerance (default 1e-3)")
-    p.add_argument("--tol-frame", dest="tol_frame", type=float, help="frame tolerance (default 1e-6)")
-    p.add_argument("--tol-od", dest="tol_od", type=float, help="companion-check tolerance (default 2e-2)")
-
-
 def _build_parser():
     parser = _Parser(prog="frenetdir", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -470,22 +417,16 @@ def _build_parser():
     p = sub.add_parser("catalog", help="list built-in curves")
     p.add_argument("--json", action="store_true", help="machine-readable listing")
 
-    p = sub.add_parser("frenet", help="frame, curvature and torsion of a curve")
-    _add_source_flags(p)
-
-    p = sub.add_parser("direct", help="construct a direction curve and check it")
-    _add_source_flags(p)
-    p.add_argument("--family", choices=_FAMILIES, help="direction family (default osculating)")
-    p.add_argument("--phase-c", dest="phase_c", type=float, help="phase constant (default 0)")
-
-    p = sub.add_parser("classify", help="line/plane/helix/slant/rectifying verdicts as json")
-    _add_source_flags(p)
-
-    p = sub.add_parser("od", help="osculating-plane companion curve and its checks")
-    _add_source_flags(p)
-    p.add_argument("--phase-c", dest="phase_c", type=float, help="phase constant (default 0)")
-    p.add_argument("--a", type=float, help="binormal-component constant, nonzero (default 1)")
-    p.add_argument("--b", type=float, help="arc-length offset, nonzero (default 1)")
+    for command, about in _CURVE_COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                shown = "" if opt.default in (None, "") else f" (default {opt.default})"
+                p.add_argument(
+                    _flag(key), dest=key, type=opt.type, choices=opt.choices,
+                    help=opt.help + shown,
+                )
+        p.add_argument("--config", help="config file (key = value lines)")
 
     p = sub.add_parser("verify", help="run the whole verification table")
     p.add_argument("--only", help="restrict to one check id")

@@ -9,7 +9,7 @@ its evaluator substitutes the exact inverse of the arc-length function first.
 
 import csv as _csv
 from dataclasses import dataclass
-from math import asin, cos, pi, sqrt
+from math import cos, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -163,6 +163,8 @@ def catalog_entry(name: str, parameters=None) -> CatalogEntry:
         if key not in params:
             raise ValueError(f"{name} does not take parameter {key!r}")
         params[key] = float(value)
+        if not isfinite(params[key]):
+            raise ValueError(f"{name} parameter {key!r} must be finite, got {value!r}")
     spec_["validate"](params)
     return CatalogEntry(name=name, parameters=params, domain=spec_["domain"](params))
 

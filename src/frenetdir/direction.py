@@ -103,7 +103,7 @@ def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveS
     construction, so the result is marked unit_speed."""
     norms = norm(X.data)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > 1e-6:
+    if not worst <= 1e-6:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
     pts = cumulative_integral(X, initial=np.asarray(start, dtype=float))
     return CurveSamples(grid=X.grid, points=pts.data, unit_speed=True)
@@ -207,13 +207,10 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     """Recover the donor's curvature and torsion from a direction curve's
     own Frenet data: the donor torsion is the curvature/torsion norm, and
     the donor curvature is the turning rate of their ratio."""
-    if not g.frenet_valid.all():
-        bad = ~g.frenet_valid
-        raise DomainError(
-            f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
-        )
-    if np.any(g.kappa < KAPPA_FLOOR):
-        bad = g.kappa < KAPPA_FLOOR
+    # frenet_apparatus never marks a row valid below the floor, but a
+    # hand-built FrenetData can
+    bad = ~g.frenet_valid | (g.kappa < KAPPA_FLOOR)
+    if bad.any():
         raise DomainError(
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )

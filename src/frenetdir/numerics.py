@@ -57,10 +57,6 @@ class Grid:
     def values(self) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, self.n)
 
-    @property
-    def span(self) -> float:
-        return self.s_max - self.s_min
-
     def interior(self, margin: int = BOUNDARY_MARGIN) -> slice:
         """Slice selecting samples clear of the boundary margin."""
         return slice(margin, self.n - margin)

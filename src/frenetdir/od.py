@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LineFit, RectifyingReport, rectifying_test
+from .classify import (
+    LineFit,
+    RectifyingReport,
+    _fit_line,
+    _no_samples,
+    _resolved_ratio,
+    rectifying_test,
+)
 from .curves import (
     CurveSamples,
     UNIT_SPEED_TOL,
@@ -147,25 +154,14 @@ def verify_od_properties(
     g = frenet_apparatus(cu)
     rect = rectifying_test(cu, g, tol)
 
-    mask = np.zeros(g.grid.n, dtype=bool)
-    mask[g.grid.interior(2 * BOUNDARY_MARGIN)] = True
-    mask &= g.frenet_valid
-    with np.errstate(invalid="ignore"):
-        frac = g.kappa / np.sqrt(g.kappa**2 + g.tau**2)
-    mask &= np.nan_to_num(frac) >= RATIO_FLOOR
+    mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
     if not np.any(mask):
-        raise DomainError(
-            "verify_od_properties: no usable samples (curvature below floor "
-            "or all boundary)"
-        )
+        raise _no_samples("verify_od_properties")
 
     srel = cu.grid.values[mask] - cu.grid.values[0]
-    ratio = g.tau[mask] / g.kappa[mask]
-    slope, intercept = np.polyfit(srel, ratio, 1)
-    residual = float(np.max(np.abs(ratio - (slope * srel + intercept))))
-    fit = LineFit(slope=float(slope), intercept=float(intercept), max_residual=residual)
-    slope_error = abs(float(slope) - 1.0 / p.a)
-    intercept_error = abs(float(intercept) - p.b / p.a)
+    fit = _fit_line(srel, g.tau[mask] / g.kappa[mask])
+    slope_error = abs(fit.slope - 1.0 / p.a)
+    intercept_error = abs(fit.intercept - p.b / p.a)
 
     axis = modified_darboux(g).data
     pts = cu.points[mask]

@@ -102,9 +102,7 @@ def _constant_rows(ctx):
         ("circular_helix", 0.5, 0.5),
     ):
         f = _frenet(ctx, name)
-        m = np.zeros(f.grid.n, dtype=bool)
-        m[f.grid.interior(BOUNDARY_MARGIN)] = True
-        m &= f.frenet_valid
+        m = f.valid_interior()
         dev = max(np.max(np.abs(f.kappa[m] - k0)), np.max(np.abs(f.tau[m] - t0)))
         rows.append(_row("constants", name, dev, 1e-6))
     return rows
@@ -125,9 +123,7 @@ def _bar_agreement_rows(ctx):
     angle = s / 2 + np.pi / 4
     pred_kappa = np.abs(0.5 * np.cos(angle))
     pred_tau = 0.5 * np.sin(angle)
-    m = np.zeros(g.grid.n, dtype=bool)
-    m[g.grid.interior(2 * BOUNDARY_MARGIN)] = True
-    m &= g.frenet_valid & (np.abs(np.cos(angle)) >= 0.05)
+    m = g.valid_interior(2 * BOUNDARY_MARGIN) & (np.abs(np.cos(angle)) >= 0.05)
     dev = max(
         np.max(np.abs(g.kappa[m] - pred_kappa[m])),
         np.max(np.abs(g.tau[m] - pred_tau[m])),
@@ -145,7 +141,7 @@ def _round_trip_rows(ctx):
     ):
         _, _, g = _pair(ctx, name, np.pi / 4, 0.0, hi, 201)
         rec = donor_from_direction(g)
-        inner = g.grid.interior(6)
+        inner = g.valid_interior(6)
         dev = max(
             np.max(np.abs(rec.kappa.data[inner] - k0) / k0),
             np.max(np.abs(rec.tau.data[inner] - t0) / t0),
@@ -348,6 +344,8 @@ def run_checks(
         raise ValueError(
             f"unknown check {only!r}; available: {', '.join(_CHECK_NAMES)}"
         )
+    if tol is not None and not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
     ctx = {}

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import frenetdir
-from frenetdir.cli import main
+from frenetdir.cli import _OPTIONS, _build_parser, _resolve_config, main
+from frenetdir.verify import run_checks
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +96,112 @@ class TestConfigResolution:
         code, _, err = run(capsys, "frenet", "--curve", "circular_helix", "--config", str(bad))
         assert code == 1
         assert "cannot parse" in err
+
+
+# one value per option-table key, each different from its default
+_SAMPLE = {
+    "curve": "helix_12_5",
+    "input": "curve.csv",
+    "params": "a=2",
+    "s_min": "0.5",
+    "s_max": "3.5",
+    "n": "401",
+    "output": "out.csv",
+    "format": "json",
+    "tol_rel": "0.002",
+    "tol_frame": "2e-06",
+    "tol_od": "0.03",
+    "family": "binormal",
+    "phase_c": "0.25",
+    "a": "1.5",
+    "b": "2.5",
+}
+
+
+def _subparser(command):
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[command]
+
+
+class TestOptionTable:
+    def test_every_option_has_a_sample(self):
+        assert set(_SAMPLE) == set(_OPTIONS)
+
+    @pytest.mark.parametrize("key", list(_OPTIONS))
+    def test_flag_and_config_key_resolve_equally(self, key, tmp_path):
+        command = _OPTIONS[key].commands[0]
+        parse = _subparser(command).parse_args
+        flag = "--" + key.replace("_", "-")
+        from_flag = _resolve_config(parse([flag, _SAMPLE[key]]))
+        assert from_flag != _resolve_config(parse([]))
+        for spelling in (key, key.replace("_", "-")):
+            path = tmp_path / "opts.cfg"
+            path.write_text(f"{spelling} = {_SAMPLE[key]}\n")
+            assert _resolve_config(parse(["--config", str(path)])) == from_flag
+
+    @pytest.mark.parametrize("command", ["frenet", "direct", "classify", "od"])
+    def test_parser_exposes_exactly_the_table_flags(self, command):
+        flags = {
+            s for a in _subparser(command)._actions for s in a.option_strings
+        } - {"-h", "--help"}
+        expect = {
+            "--" + key.replace("_", "-")
+            for key, opt in _OPTIONS.items()
+            if command in opt.commands
+        }
+        assert flags == expect | {"--config"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("format = xml", "--format must be one of csv, json, got 'xml'"),
+            ("family = x", "--family must be one of osculating, principal, binormal, got 'x'"),
+        ],
+    )
+    def test_config_choice_rejected(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"curve = circular_helix\n{line}\n")
+        code, _, err = run(capsys, "direct", "--config", str(path))
+        assert code == 1
+        assert message in err
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("frenet", "--tol-frame", "nan"), "--tol-frame must be finite, got nan"),
+            (("direct", "--phase-c", "nan"), "--phase-c must be finite, got nan"),
+            (("od", "--a", "nan"), "--a must be finite, got nan"),
+            (("frenet", "--s-max", "inf"), "--s-max must be finite, got inf"),
+            (("frenet", "--params", "a=nan"), "circular_helix parameter 'a' must be finite"),
+        ],
+    )
+    def test_flag_rejected_naming_it(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--curve", "circular_helix")
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    def test_config_value_rejected_naming_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text("curve = circular_helix\ntol_od = nan\n")
+        code, _, err = run(capsys, "od", "--config", str(path))
+        assert code == 1
+        assert "--tol-od must be finite" in err
+
+    def test_verify_tol_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "constants", "--tol", "nan")
+        assert code == 1
+        assert "tol must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_run_checks_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            run_checks(only="constants", tol=tol)
 
 
 class TestFrenet:

@@ -8,7 +8,6 @@ import pytest
 
 import frenetdir
 from frenetdir.curves import (
-    CatalogEntry,
     CurveSamples,
     arclength_reparametrize,
     catalog_entry,
@@ -50,6 +49,11 @@ class TestCatalogEntries:
             catalog_entry("circular_helix", {"a": -1.0})
         with pytest.raises(ValueError):
             catalog_entry("spherical_helix", {"c": 0.0})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_named(self, value):
+        with pytest.raises(ValueError, match="parameter 'a' must be finite"):
+            catalog_entry("circular_helix", {"a": value})
 
     def test_spherical_domain_scales_with_c(self):
         e = catalog_entry("spherical_helix", {"c": 2.0})

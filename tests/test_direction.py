@@ -19,8 +19,8 @@ from frenetdir.direction import (
     principal_direction_curve,
 )
 from frenetdir.errors import DomainError
-from frenetdir.frenet import FrenetData, frenet_apparatus
-from frenetdir.numerics import ScalarSamples, VectorSamples, uniform_grid
+from frenetdir.frenet import KAPPA_FLOOR, FrenetData, frenet_apparatus
+from frenetdir.numerics import VectorSamples, uniform_grid
 
 
 def donor(name, grid=None, phase=np.pi / 4):
@@ -177,6 +177,13 @@ class TestIntegrateDirectionCurve:
         with pytest.raises(ValueError, match="not unit length"):
             integrate_direction_curve(X)
 
+    def test_nan_field_row_rejected_as_non_unit(self):
+        g = uniform_grid(0.0, 1.0, 101)
+        X = np.tile([1.0, 0.0, 0.0], (g.n, 1))
+        X[50] = np.nan
+        with pytest.raises(ValueError, match="not unit length"):
+            integrate_direction_curve(VectorSamples(g, X))
+
 
 class TestPrincipalAndBinormal:
     def test_principal_of_circle_is_translated_circle(self):
@@ -330,6 +337,25 @@ class TestDonorRecovery:
         _, _, g = constructed("circular_helix")
         with pytest.raises(DomainError, match=r"curvature below floor on \["):
             donor_from_direction(g)
+
+    def test_hand_built_frame_below_floor_rejected(self):
+        # frenet_apparatus never marks such a row valid; a hand-built
+        # FrenetData can, and the floor check must still catch it
+        grid = uniform_grid(0.0, 2.0, 101)
+        n = grid.n
+        kappa = np.full(n, 0.3)
+        kappa[40] = 0.5 * KAPPA_FLOOR
+        fake = FrenetData(
+            grid=grid,
+            T=np.tile([1.0, 0.0, 0.0], (n, 1)),
+            N=np.tile([0.0, 1.0, 0.0], (n, 1)),
+            B=np.tile([0.0, 0.0, 1.0], (n, 1)),
+            kappa=kappa,
+            tau=np.zeros(n),
+            frenet_valid=np.ones(n, dtype=bool),
+        )
+        with pytest.raises(DomainError, match=r"curvature below floor on \[0\.8, 0\.8\]"):
+            donor_from_direction(fake)
 
 
 class TestMannheim:

@@ -1,0 +1,60 @@
+"""Imported-but-unused names in the package, its tests and the demos.
+
+A plain `ast` scan, so it runs without any linter installed.  A name counts
+as used when it appears as a bare name anywhere in the module (attribute
+access `np.x` starts with the bare name `np`) or is listed in `__all__`.
+The package `__init__.py` is skipped: its imports are the public
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(
+    path
+    for folder in ("src/frenetdir", "tests", "demos")
+    for path in (ROOT / folder).glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(
+        f"line {line}: {name}" for name, line in imported.items() if name not in used
+    )
+
+
+def test_scan_covers_every_layer():
+    folders = {path.parent.name for path in FILES}
+    assert folders == {"frenetdir", "tests", "demos"}
+
+
+def test_scan_sees_an_unused_import():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
+        "line 1: os",
+        "line 2: tau",
+    ]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

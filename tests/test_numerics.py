@@ -8,7 +8,6 @@ from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     MIN_SAMPLES,
     ConstancyReport,
-    Grid,
     ScalarSamples,
     VectorSamples,
     constancy,

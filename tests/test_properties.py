@@ -8,7 +8,6 @@ within a second or two.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
