@@ -60,6 +60,6 @@ print("--------------------------------------")
 g = uniform_grid(0.0, 1.0, 101)
 from frenetdir.curves import CurveSamples
 
-line = CurveSamples(g, np.stack([g.values, 0 * g.values, 0 * g.values], axis=1), unit_speed=True)
+line = CurveSamples(g, np.stack([g.values, 0 * g.values, 0 * g.values], axis=1))
 fl = frenet_apparatus(line)
 print(f"valid samples: {int(fl.frenet_valid.sum())} of {fl.grid.n} (curvature sits below the floor)")

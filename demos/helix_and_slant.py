@@ -26,7 +26,7 @@ def verdict_line(label, rep):
 print("catalog classifications")
 g = uniform_grid(0.0, 2 * np.pi, 2001)
 circle = CurveSamples(
-    g, np.stack([np.cos(g.values), np.sin(g.values), 0 * g.values], axis=1), unit_speed=True
+    g, np.stack([np.cos(g.values), np.sin(g.values), 0 * g.values], axis=1)
 )
 verdict_line("unit circle", classify(circle))
 verdict_line("unit helix", classify(evaluate_catalog("circular_helix")))
@@ -63,7 +63,7 @@ q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
 if np.linalg.det(q) < 0:
     q[:, 0] *= -1.0
 c = evaluate_catalog("circular_helix")
-moved = CurveSamples(c.grid, c.points @ q.T + np.array([4.0, -1.0, 2.5]), c.unit_speed)
+moved = CurveSamples(c.grid, c.points @ q.T + np.array([4.0, -1.0, 2.5]))
 base, turned = classify(c), classify(moved)
 same = all(
     getattr(base, k) == getattr(turned, k)

@@ -48,7 +48,7 @@ def matched_profile_donor(a, b, hi, n, tau_scale=4.0, sub=4):
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             s += h
         out[i] = y
-    return CurveSamples(grid=uniform_grid(0.0, hi, n), points=out[:, :3], unit_speed=True)
+    return CurveSamples(grid=uniform_grid(0.0, hi, n), points=out[:, :3])
 
 
 def show(label, report):

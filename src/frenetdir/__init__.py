@@ -1,10 +1,10 @@
 """Frenet frames, direction curves, and companion constructions on sampled
 space curves.
 
-Everything operates on uniformly sampled arc-length data: a curve is its
-samples, derivatives are finite differences, and every classification or
-theorem check reports the measured deviation next to the tolerance it was
-judged by.  See the README for the command line front end.
+Everything operates on curves sampled uniformly in any regular parameter:
+a curve is its samples, derivatives are finite differences, and every
+classification or theorem check reports the measured deviation next to the
+tolerance it was judged by.  See the README for the command line front end.
 """
 
 from .classify import (

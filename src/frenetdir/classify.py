@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import CurveSamples, arclength_reparametrize
+from .curves import CurveSamples
 from .errors import DomainError
 from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
@@ -20,7 +20,6 @@ from .numerics import (
     ConstancyReport,
     ScalarSamples,
     constancy,
-    derivative,
     norm,
 )
 
@@ -75,16 +74,16 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
 
 def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
     """Pointwise turning measure of the principal normal direction:
-    curvature^2 / (curvature^2 + torsion^2)^(3/2) times the derivative of
-    torsion/curvature.  NaN where the frame is undefined or the derivative
-    stencil touches such a sample."""
+    curvature^2 / (curvature^2 + torsion^2)^(3/2) times the arc-length
+    derivative of torsion/curvature.  NaN where the frame is undefined or
+    the derivative stencil touches such a sample."""
     if not np.any(f.frenet_valid):
         raise _no_samples("slant_helix_invariant")
     n = f.grid.n
     ratio = np.full(n, np.nan)
     m = f.frenet_valid
     ratio[m] = f.tau[m] / f.kappa[m]
-    d = derivative(ScalarSamples(f.grid, ratio), 1).data
+    d = f._d_ds(ratio)
     sq = f.kappa**2 + f.tau**2
     with np.errstate(invalid="ignore"):
         sigma = (f.kappa**2 / sq**1.5) * d
@@ -146,8 +145,10 @@ class LineFit:
     max_residual: float
 
 
-def _fit_line(s: np.ndarray, ratio: np.ndarray) -> LineFit:
+def _fit_line(s: np.ndarray, ratio: np.ndarray, who: str) -> LineFit:
     """Least-squares line of ratio against s, with its worst residual."""
+    if s.size < 2:
+        raise DomainError(f"{who}: a line fit needs 2 usable samples, got {s.size}")
     slope, intercept = np.polyfit(s, ratio, 1)
     residual = float(np.max(np.abs(ratio - (slope * s + intercept))))
     return LineFit(slope=float(slope), intercept=float(intercept), max_residual=residual)
@@ -183,8 +184,8 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     scale = float(np.max(norm(pts)))
     normal_component = normal / max(scale, 1e-12)
 
-    s = c.grid.values[mask]
-    fit = _fit_line(s, f.tau[mask] / f.kappa[mask])
+    s = f.s[mask]
+    fit = _fit_line(s, f.tau[mask] / f.kappa[mask], "rectifying_test")
     span = float(s[-1] - s[0])
     ok = normal_component < tol and fit.max_residual < tol * (1.0 + abs(fit.slope) * span)
     return RectifyingReport(normal_component=normal_component, fit=fit, is_rectifying=bool(ok))
@@ -220,8 +221,7 @@ def classify(
     abs_tol: float = 1e-6,
     rect_tol: float = 2e-2,
 ) -> ClassificationReport:
-    """Run every predicate on a sampled curve, reparametrizing to unit
-    speed first when needed.
+    """Run every predicate on a sampled curve, on its own parameter.
 
     Degenerate-zero fields are decided here by implication from the more
     robust upstream verdict, not by each test's own noise-floor median: a
@@ -231,8 +231,6 @@ def classify(
     motion could flip a median-based verdict.  Call the individual tests
     for the raw measured statistics.
     """
-    if not c.unit_speed:
-        c = arclength_reparametrize(c, c.grid.n)
     f = frenet_apparatus(c)
     if line_test(f, abs_tol):
         return ClassificationReport(

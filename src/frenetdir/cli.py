@@ -35,8 +35,8 @@ import numpy as np
 from . import verify as verify_suite
 from .classify import classify, slant_helix_test
 from .curves import (
+    UNIT_SPEED_TOL,
     CurveSamples,
-    arclength_reparametrize,
     catalog_entry,
     catalog_names,
     evaluate_catalog,
@@ -47,10 +47,9 @@ from .curves import (
 from .direction import (
     binormal_direction_curve,
     compare_predicted,
-    direction_field,
-    integrate_direction_curve,
     mannheim_check,
     osculating_coefficients,
+    osculating_direction_curve,
     predicted_bar_data,
     principal_direction_curve,
 )
@@ -198,11 +197,10 @@ def _source_curve(cfg):
         return evaluate_catalog(cfg.curve, cfg.params or None, grid)
     if cfg.params:
         raise ValueError("--params only applies to catalog curves")
-    return load_csv(cfg.input)
-
-
-def _unit_speed(c):
-    return c if c.unit_speed else arclength_reparametrize(c, c.grid.n)
+    try:
+        return load_csv(cfg.input)
+    except OSError as exc:
+        raise ValueError(f"cannot read input file {cfg.input}: {exc.strerror or exc}") from None
 
 
 def _jsonable(obj):
@@ -238,7 +236,7 @@ def _write_curve(c, cfg):
                 "x": c.points[:, 0],
                 "y": c.points[:, 1],
                 "z": c.points[:, 2],
-                "unit_speed": bool(c.unit_speed),
+                "unit_speed": unit_speed_deviation(c) <= UNIT_SPEED_TOL,
             },
             cfg.output,
         )
@@ -304,8 +302,7 @@ def cmd_catalog(args):
 
 def cmd_frenet(args):
     cfg = _resolve_config(args)
-    c = _unit_speed(_source_curve(cfg))
-    f = frenet_apparatus(c)
+    f = frenet_apparatus(_source_curve(cfg))
     mask = f.valid_interior()
     if not np.any(mask):
         raise DomainError("frenet: curvature below floor at every interior sample")
@@ -325,18 +322,17 @@ def cmd_frenet(args):
 
 def cmd_direct(args):
     cfg = _resolve_config(args)
-    c = _unit_speed(_source_curve(cfg))
-    f = frenet_apparatus(c)
+    f = frenet_apparatus(_source_curve(cfg))
     if cfg.family == "principal":
         gamma = principal_direction_curve(f)
     elif cfg.family == "binormal":
         gamma = binormal_direction_curve(f)
     else:
-        dc = osculating_coefficients(f, cfg.phase_c)
-        gamma = integrate_direction_curve(direction_field(f, dc))
+        gamma = osculating_direction_curve(f, cfg.phase_c)
     print(f"family: {cfg.family}  phase: {cfg.phase_c:g}")
     print(f"speed deviation: {unit_speed_deviation(gamma):.3e}")
     if cfg.family == "osculating":
+        dc = osculating_coefficients(f, cfg.phase_c)
         g = frenet_apparatus(gamma)
         mann = mannheim_check(g, f)
         agree = compare_predicted(g, predicted_bar_data(f, dc), dc, cos_floor=0.05)
@@ -365,22 +361,18 @@ def cmd_classify(args):
 
 def cmd_od(args):
     cfg = _resolve_config(args)
-    c = _unit_speed(_source_curve(cfg))
+    c = _source_curve(cfg)
     lo = c.grid.values[0]
     if lo != 0.0:
-        # arc length is measured from the first sample; shift the grid so
-        # the written output and the reports agree on s = 0 there
-        c = CurveSamples(
-            grid=uniform_grid(0.0, c.grid.values[-1] - lo, c.grid.n),
-            points=c.points,
-            unit_speed=c.unit_speed,
-        )
+        # the construction measures arc length from the first sample; shift
+        # the grid so the written s column starts at 0 there too
+        c = CurveSamples(uniform_grid(0.0, c.grid.values[-1] - lo, c.grid.n), c.points)
     f = frenet_apparatus(c)
     p = ODParameters(cfg.a, cfg.b, cfg.phase_c)
     gamma = od_osculating_curve(f, p)
     rep = verify_od_properties(gamma, p, tol=cfg.tol_od)
     print(f"parameters: a={cfg.a:g} b={cfg.b:g} phase={cfg.phase_c:g}")
-    print(f"unit speed: {'yes' if gamma.unit_speed else 'no'}"
+    print(f"unit speed: {'yes' if rep.speed_deviation <= UNIT_SPEED_TOL else 'no'}"
           f" (max deviation {rep.speed_deviation:.3e})")
     print(f"rectifying: normal component {rep.rectifying.normal_component:.3e}"
           f" ({'pass' if rep.rectifying.is_rectifying else 'FAIL'})")

@@ -1,5 +1,5 @@
-"""Sampled space curves: the built-in catalog, CSV I/O, and arc-length
-reparametrization.
+"""Sampled space curves: the built-in catalog, CSV I/O, speed
+measurements, and an arc-length resampling utility.
 
 Catalog curves are evaluated from closed-form expressions already in an
 arc-length parametrization, so downstream differentiation sees exact
@@ -28,22 +28,21 @@ from .numerics import (
 # numerical-speed band accepted as unit speed at interior samples
 UNIT_SPEED_TOL = 1e-4
 
-# below this numerical speed a curve counts as degenerate
+# at or below this numerical speed a curve counts as degenerate
 SPEED_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class CurveSamples:
-    """A space curve sampled on a uniform parameter grid.
+    """A space curve sampled on a uniform grid in any regular parameter.
 
-    unit_speed records whether the grid parameter is arc length; consumers
-    that require arc length check the flag instead of re-deriving it.
-    Non-finite points raise DomainError naming the first such sample.
+    Whether that parameter is arc length is a measurement
+    (unit_speed_deviation), not part of the samples.  Non-finite points
+    raise DomainError naming the first such sample.
     """
 
     grid: Grid
     points: np.ndarray
-    unit_speed: bool
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -185,7 +184,7 @@ def evaluate_catalog(name: str, parameters=None, grid: Grid = None) -> CurveSamp
     if grid.s_max > hi:
         raise DomainError(f"grid s_max={grid.s_max:g} above {name} domain bound {hi:g}")
     points = _CATALOG[name]["points"](entry.parameters, grid.values)
-    return CurveSamples(grid=grid, points=points, unit_speed=True)
+    return CurveSamples(grid=grid, points=points)
 
 
 def numerical_speed(c: CurveSamples) -> ScalarSamples:
@@ -195,16 +194,17 @@ def numerical_speed(c: CurveSamples) -> ScalarSamples:
 
 
 def unit_speed_deviation(c: CurveSamples) -> float:
-    """max |speed - 1| over interior samples (boundary stencils excluded)."""
+    """max |speed - 1| over interior samples (boundary stencils excluded),
+    the speed measured against the grid parameter."""
     return float(np.max(np.abs(numerical_speed(c).data[c.grid.interior()] - 1.0)))
 
 
 def load_csv(path) -> CurveSamples:
     """Read a curve from CSV (`s,x,y,z` or `x,y,z` header).
 
-    A strictly increasing, uniform s column becomes the grid and the
-    unit-speed flag is set from the measured speed; without a usable s
-    column samples are indexed 0..n-1 and unit_speed is false.
+    A strictly increasing, uniform s column becomes the grid parameter,
+    arc length or not; a non-uniform s column, or none, gives the sample
+    index 0..n-1 as the parameter.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
@@ -248,16 +248,14 @@ def load_csv(path) -> CurveSamples:
         span = s[-1] - s[0]
         uniform = np.allclose(np.diff(s), span / (n - 1), rtol=0, atol=1e-9 * max(span, 1.0))
         if uniform:
-            grid = Grid(float(s[0]), float(s[-1]), n)
-            curve = CurveSamples(grid=grid, points=data[:, 1:], unit_speed=False)
-            flag = unit_speed_deviation(curve) <= UNIT_SPEED_TOL
-            return CurveSamples(grid=grid, points=data[:, 1:], unit_speed=flag)
-        return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data[:, 1:], unit_speed=False)
-    return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data, unit_speed=False)
+            return CurveSamples(grid=Grid(float(s[0]), float(s[-1]), n), points=data[:, 1:])
+        return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data[:, 1:])
+    return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data)
 
 
 def save_csv(c: CurveSamples, path) -> None:
-    """Write `s,x,y,z` rows at 17 significant digits (lossless for doubles)."""
+    """Write `s,x,y,z` rows at 17 significant digits (lossless for doubles);
+    s is the grid parameter, arc length only for a unit-speed curve."""
     s = c.grid.values
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("s,x,y,z\n")
@@ -270,8 +268,9 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
 
     The arc-length function is accumulated from the numerical speed and
     inverted with a monotone cubic interpolant; points are then evaluated
-    through a C^2 spline so the output stays smooth enough to differentiate.
-    scipy is imported here, on first use, to keep it off `import frenetdir`.
+    through a C^2 spline, whose piecewise-constant third derivative makes
+    torsion low-order accurate.  Nothing in the library calls it; scipy is
+    imported here, on first use, and nowhere else.
     """
     from scipy.interpolate import CubicSpline, PchipInterpolator
 
@@ -292,4 +291,4 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
     # guard the spline against interpolation overshoot at the ends
     t_out = np.clip(t_out, c.grid.s_min, c.grid.s_max)
     spline = CubicSpline(c.grid.values, c.points, axis=0)
-    return CurveSamples(grid=out_grid, points=spline(t_out), unit_speed=True)
+    return CurveSamples(grid=out_grid, points=spline(t_out))

@@ -4,9 +4,10 @@ closed-form predictions for their Frenet data, and the inverse map that
 recovers the donor's curvatures from a constructed curve.
 
 The osculating-plane coefficient pair is u = sin(theta), v = cos(theta)
-with theta the accumulated curvature plus a free phase; every construction
-here keeps that phase explicit because all downstream identities are
-phase-covariant.
+with theta the curvature accumulated over arc length plus a free phase;
+every construction here keeps that phase explicit because all downstream
+identities are phase-covariant.  Constructed curves share the donor's grid
+and parameter, and the donor's arc length is theirs.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .numerics import (
     ScalarSamples,
     VectorSamples,
     cumulative_integral,
-    derivative,
     norm,
 )
 
@@ -59,9 +59,9 @@ def _require_same_grid(a: Grid, b: Grid) -> None:
 class DirectionCoefficients:
     """Coefficients of a unit field in the donor's osculating plane.
 
-    theta accumulates the donor curvature from the grid start, so
-    theta[0] == phase_c.  degeneracy_flags marks samples where either
-    coefficient is too close to zero for the classification premises.
+    theta accumulates the donor curvature over arc length from the grid
+    start, so theta[0] == phase_c.  degeneracy_flags marks samples where
+    either coefficient is too close to zero for the classification premises.
     """
 
     grid: Grid
@@ -75,7 +75,7 @@ class DirectionCoefficients:
 
 def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficients:
     _require_valid(f, "osculating_coefficients")
-    theta = cumulative_integral(ScalarSamples(f.grid, f.kappa), initial=phase_c).data
+    theta = cumulative_integral(ScalarSamples(f.grid, f.kappa * f.speed), initial=phase_c).data
     u = np.sin(theta)
     v = np.cos(theta)
     flags = (np.abs(u) < DEGENERACY_FLOOR) | (np.abs(v) < DEGENERACY_FLOOR)
@@ -98,31 +98,36 @@ def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
     return VectorSamples(f.grid, X)
 
 
-def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveSamples:
-    """Integral curve of a unit field; its parameter is arc length by
-    construction, so the result is marked unit_speed."""
-    norms = norm(X.data)
-    worst = float(np.max(np.abs(norms - 1.0)))
+def _integral_curve(X: VectorSamples, speed, start) -> CurveSamples:
+    """Integral of the unit field X times speed over the grid parameter."""
+    worst = float(np.max(np.abs(norm(X.data) - 1.0)))
     if not worst <= 1e-6:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
-    pts = cumulative_integral(X, initial=np.asarray(start, dtype=float))
-    return CurveSamples(grid=X.grid, points=pts.data, unit_speed=True)
+    dx = VectorSamples(X.grid, X.data * speed[:, None])
+    return CurveSamples(X.grid, cumulative_integral(dx, initial=np.asarray(start, dtype=float)).data)
+
+
+def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveSamples:
+    """Integral curve of a unit field over its grid parameter, which is then
+    its arc length; the constructions below use the donor's arc length."""
+    return _integral_curve(X, np.ones(X.grid.n), start)
 
 
 def osculating_direction_curve(f: FrenetData, phase_c: float, start=(0.0, 0.0, 0.0)) -> CurveSamples:
-    """Convenience composition: coefficients, field, then integral curve."""
+    """Coefficients, field, then the integral curve over the donor's arc
+    length, sampled on the donor's grid."""
     dc = osculating_coefficients(f, phase_c)
-    return integrate_direction_curve(direction_field(f, dc), start)
+    return _integral_curve(direction_field(f, dc), f.speed, start)
 
 
 def principal_direction_curve(f: FrenetData, start=(0.0, 0.0, 0.0)) -> CurveSamples:
     _require_valid(f, "principal_direction_curve")
-    return integrate_direction_curve(VectorSamples(f.grid, f.N.copy()), start)
+    return _integral_curve(VectorSamples(f.grid, f.N), f.speed, start)
 
 
 def binormal_direction_curve(f: FrenetData, start=(0.0, 0.0, 0.0)) -> CurveSamples:
     _require_valid(f, "binormal_direction_curve")
-    return integrate_direction_curve(VectorSamples(f.grid, f.B.copy()), start)
+    return _integral_curve(VectorSamples(f.grid, f.B), f.speed, start)
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ class RecoveredCurvatures:
 def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     """Recover the donor's curvature and torsion from a direction curve's
     own Frenet data: the donor torsion is the curvature/torsion norm, and
-    the donor curvature is the turning rate of their ratio."""
+    the donor curvature is the arc-length turning rate of their ratio."""
     # frenet_apparatus never marks a row valid below the floor, but a
     # hand-built FrenetData can
     bad = ~g.frenet_valid | (g.kappa < KAPPA_FLOOR)
@@ -215,7 +220,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
     sq = g.kappa**2 + g.tau**2
-    ratio = derivative(ScalarSamples(g.grid, g.tau / g.kappa), 1).data
+    ratio = g._d_ds(g.tau / g.kappa)
     kappa = (g.kappa**2 / sq) * ratio
     return RecoveredCurvatures(
         kappa=ScalarSamples(g.grid, kappa),

@@ -8,8 +8,7 @@ the command line tool can map each family to a stable exit code.
 
 class DomainError(ValueError):
     """Input data violates a precondition (too few samples, parameter outside
-    a curve's valid domain, degenerate geometry, non unit-speed input where
-    unit speed is required)."""
+    a curve's valid domain, degenerate geometry such as a stalled sample)."""
 
 
 class NumericalError(RuntimeError):

@@ -1,5 +1,9 @@
-"""Frenet apparatus of a unit-speed sampled curve, with frame and
+"""Frenet apparatus of a sampled regular curve, with frame and
 derivative-identity verification reports.
+
+Everything is computed on the grid's own parameter t: the curvature and
+torsion formulas hold for any regular parametrization, and the speed |r'|
+gives arc length and d/ds = (1/|r'|) d/dt to the consumers that need them.
 
 Curvature is kept nonnegative throughout; orientation information lives in
 the torsion sign and the frame itself.  Samples where the curvature falls
@@ -9,19 +13,32 @@ degrade gracefully.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .curves import CurveSamples
+from .curves import SPEED_FLOOR, CurveSamples
 from .errors import DomainError
-from .numerics import BOUNDARY_MARGIN, Grid, VectorSamples, cross, derivative, norm
+from .numerics import (
+    BOUNDARY_MARGIN,
+    Grid,
+    ScalarSamples,
+    VectorSamples,
+    cross,
+    cumulative_integral,
+    derivative,
+    norm,
+)
 
 KAPPA_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Tangent, normal, binormal, curvature, and torsion per sample.
+    """Tangent, normal, binormal, curvature, torsion and speed per sample.
+
+    speed is |dr/dt| on the grid parameter t, and s the arc length from
+    s = grid.s_min at the first sample.
 
     frenet_valid is false where the curvature is below KAPPA_FLOOR; N, B,
     and tau hold NaN there.  Accuracy statements hold on valid_interior():
@@ -38,6 +55,16 @@ class FrenetData:
     kappa: np.ndarray
     tau: np.ndarray
     frenet_valid: np.ndarray
+    speed: np.ndarray
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Arc length at each sample: the cumulative integral of speed."""
+        return cumulative_integral(ScalarSamples(self.grid, self.speed), self.grid.s_min).data
+
+    def _d_ds(self, values: np.ndarray) -> np.ndarray:
+        """Arc-length derivative (1/speed) d/dt of per-sample values."""
+        return derivative(ScalarSamples(self.grid, values), 1).data / self.speed
 
     def valid_interior(self, margin: int = BOUNDARY_MARGIN) -> np.ndarray:
         """Boolean mask: frenet_valid and clear of the boundary margin."""
@@ -47,34 +74,34 @@ class FrenetData:
 
 
 def frenet_apparatus(c: CurveSamples) -> FrenetData:
-    """Compute {T, N, B, kappa, tau} from unit-speed samples.
+    """Compute {T, N, B, kappa, tau} and the speed on the grid parameter.
 
     T is the numerical first derivative; the binormal direction comes from
     the first-two-derivatives cross product, which keeps kappa nonnegative,
     and torsion from the third derivative projected on it.  Every row is
-    filled, but accuracy holds on FrenetData.valid_interior() only.
+    filled, but accuracy holds on FrenetData.valid_interior() only.  A
+    speed at or below SPEED_FLOOR (a stalled sample) raises DomainError.
     """
-    if not c.unit_speed:
-        raise DomainError(
-            "frenet_apparatus needs an arc-length parametrization; "
-            "run arclength_reparametrize first"
-        )
     pts = VectorSamples(c.grid, c.points)
     d1 = derivative(pts, 1).data
     d2 = derivative(pts, 2).data
     d3 = derivative(pts, 3).data
 
+    speed = norm(d1)
+    if not np.all(speed > SPEED_FLOOR):
+        i = int(np.argmin(speed > SPEED_FLOOR))
+        raise DomainError(f"degenerate curve: speed {speed[i]:.3g} at sample {i} "
+                          f"(parameter {c.grid.values[i]:g}) is not above {SPEED_FLOOR:g}")
     d1xd2 = cross(d1, d2)
-    kappa = norm(d1xd2)
+    cross_norm = norm(d1xd2)
+    kappa = cross_norm / speed**3
     valid = kappa >= KAPPA_FLOOR
 
     # T is normalized so the triad is orthonormal by construction: B is unit
-    # and perpendicular to d1 already, and N = B x T inherits both.  The
-    # magnitude correction is the O(h^4) speed defect, well under any frame
-    # tolerance in use.
-    T = d1 / norm(d1)[:, None]
+    # and perpendicular to d1 already, and N = B x T inherits both.
+    T = d1 / speed[:, None]
     # safe denominator; invalid rows are overwritten with NaN below
-    denom = np.where(valid, kappa, 1.0)
+    denom = np.where(valid, cross_norm, 1.0)
     B = d1xd2 / denom[:, None]
     N = cross(B, T)
     tau = np.einsum("ij,ij->i", d1xd2, d3) / denom**2
@@ -82,7 +109,7 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     N[~valid] = np.nan
     tau[~valid] = np.nan
 
-    return FrenetData(grid=c.grid, T=T, N=N, B=B, kappa=kappa, tau=tau, frenet_valid=valid)
+    return FrenetData(c.grid, T, N, B, kappa, tau, valid, speed)
 
 
 @dataclass(frozen=True)
@@ -148,7 +175,7 @@ def frame_orthonormality(f: FrenetData) -> float:
 @dataclass(frozen=True)
 class ResidualCheck:
     """Worst-case residuals of the frame derivative identities
-    T' = kappa N, N' = -kappa T + tau B, B' = -tau N."""
+    T' = kappa N, N' = -kappa T + tau B, B' = -tau N, with ' = d/ds."""
 
     res_T: float
     res_N: float
@@ -165,10 +192,11 @@ def frenet_derivative_check(f: FrenetData, tol: float = 1e-4,
     # order.  Statistics therefore skip twice the usual margin.
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dT = derivative(VectorSamples(f.grid, f.T), 1).data
+    speed = f.speed[:, None]
+    dT = derivative(VectorSamples(f.grid, f.T), 1).data / speed
     with np.errstate(invalid="ignore"):
-        dN = derivative(VectorSamples(f.grid, f.N), 1).data
-        dB = derivative(VectorSamples(f.grid, f.B), 1).data
+        dN = derivative(VectorSamples(f.grid, f.N), 1).data / speed
+        dB = derivative(VectorSamples(f.grid, f.B), 1).data / speed
         k = f.kappa[:, None]
         t = f.tau[:, None]
         rT = norm(dT - k * f.N)

@@ -126,14 +126,6 @@ def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
     )
 
 
-def is_constant(f, rel_tol: float) -> ConstancyReport:
-    """Constancy verdict for ScalarSamples (or any array-like)."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    data = f.data if isinstance(f, ScalarSamples) else np.asarray(f, dtype=float)
-    return constancy(data, rel_tol)
-
-
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of two (n, 3) arrays, bit-identical to
     np.cross(a, b) (same products, same subtraction per component) but

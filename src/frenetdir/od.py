@@ -20,9 +20,8 @@ differentiating the position gives
 so the curve is unit-speed (and the verification properties hold) exactly
 where the N-coefficient n vanishes, which pins theta to arctan((s+b)/a)
 and hence kappa to that profile.  For any other donor the construction
-still evaluates fine, but the output's unit_speed flag records the
-measured speed and the verification report says how far the properties
-fail.  Tests cover both regimes.
+still evaluates fine, and the verification report measures its speed and
+says how far the properties fail.  Tests cover both regimes.
 """
 
 from dataclasses import dataclass
@@ -37,21 +36,14 @@ from .classify import (
     _resolved_ratio,
     rectifying_test,
 )
-from .curves import (
-    CurveSamples,
-    UNIT_SPEED_TOL,
-    arclength_reparametrize,
-    unit_speed_deviation,
-)
-from .direction import _require_valid
+from .curves import CurveSamples
+from .direction import _require_valid, osculating_coefficients
 from .errors import DomainError
 from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
     VectorSamples,
     cross,
-    cumulative_integral,
     norm,
 )
 
@@ -83,19 +75,17 @@ def od_osculating_curve(f: FrenetData, p: ODParameters) -> CurveSamples:
     """Evaluate the osculating-plane companion of a donor curve.
 
     Direct formula, no integration of a direction field: the position is
-    m(s) T(s) + n(s) N(s) with m, n the rotated pair of (s - s_min + b, a)
-    through theta.  The returned unit_speed flag is measured, not assumed;
-    see the module docstring for when it can be true.
+    m(s) T(s) + n(s) N(s) with m, n the rotated pair of (s - s_0 + b, a)
+    through theta, s the donor's arc length.  See the module docstring for
+    when the result is unit-speed.
     """
     _require_valid(f, "od_osculating_curve")
-    theta = cumulative_integral(ScalarSamples(f.grid, f.kappa), initial=p.phase_c).data
-    rho = (f.grid.values - f.grid.values[0]) + p.b
-    m = rho * np.sin(theta) + p.a * np.cos(theta)
-    n = rho * np.cos(theta) - p.a * np.sin(theta)
+    dc = osculating_coefficients(f, p.phase_c)
+    rho = (f.s - f.s[0]) + p.b
+    m = rho * dc.u + p.a * dc.v
+    n = rho * dc.v - p.a * dc.u
     pts = m[:, None] * f.T + n[:, None] * f.N
-    c = CurveSamples(grid=f.grid, points=pts, unit_speed=False)
-    flag = unit_speed_deviation(c) <= UNIT_SPEED_TOL
-    return CurveSamples(grid=f.grid, points=pts, unit_speed=flag)
+    return CurveSamples(grid=f.grid, points=pts)
 
 
 def modified_darboux(f: FrenetData) -> VectorSamples:
@@ -119,7 +109,8 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
 class ODReport:
     """Measured distance from the three companion-curve properties.
 
-    speed_deviation is max |speed - 1| of the input samples.  ratio_fit is
+    speed_deviation is max |speed - 1| of the input samples over interior
+    rows, against the grid parameter (unit_speed_deviation).  ratio_fit is
     the least-squares line of torsion/curvature against arc length from
     the first sample; slope_error and intercept_error compare it with the
     predicted (s + b)/a.  cross_ratio is the worst normalized cross
@@ -142,29 +133,26 @@ def verify_od_properties(
     """Check a curve against the rectifying / linear-ratio / Darboux
     properties predicted for osculating-plane companions.
 
-    Generic: any sampled curve can be checked.  Non-unit-speed input is
-    reparametrized before its frame is computed; note the resampling step
-    costs accuracy in the torsion of low-curvature curves, so a curve that
-    is already unit-speed is judged much more sharply.
+    Generic: any sampled curve on any regular parameter can be checked;
+    the ratio line is fitted against the curve's own arc length.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    speed_dev = unit_speed_deviation(gamma)
-    cu = gamma if gamma.unit_speed else arclength_reparametrize(gamma, gamma.grid.n)
-    g = frenet_apparatus(cu)
-    rect = rectifying_test(cu, g, tol)
+    g = frenet_apparatus(gamma)
+    speed_dev = np.max(np.abs(g.speed[g.grid.interior()] - 1.0))
+    rect = rectifying_test(gamma, g, tol)
 
     mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
     if not np.any(mask):
         raise _no_samples("verify_od_properties")
 
-    srel = cu.grid.values[mask] - cu.grid.values[0]
-    fit = _fit_line(srel, g.tau[mask] / g.kappa[mask])
+    srel = g.s[mask] - g.s[0]
+    fit = _fit_line(srel, g.tau[mask] / g.kappa[mask], "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
 
     axis = modified_darboux(g).data
-    pts = cu.points[mask]
+    pts = gamma.points[mask]
     ax = axis[mask]
     sine = norm(cross(pts, ax))
     denom = norm(pts) * norm(ax)

@@ -23,9 +23,9 @@ from .curves import CurveSamples, catalog_names, evaluate_catalog
 from .direction import (
     direction_field,
     donor_from_direction,
-    integrate_direction_curve,
     mannheim_check,
     osculating_coefficients,
+    osculating_direction_curve,
 )
 from .frenet import frame_orthonormality, frenet_apparatus, frenet_derivative_check
 from .numerics import (
@@ -79,20 +79,15 @@ def _pair(ctx, name, phase, lo=None, hi=None, n=2001):
     if key not in ctx:
         f = _frenet(ctx, name, lo, hi, n)
         dc = osculating_coefficients(f, phase)
-        g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc)))
+        g = frenet_apparatus(osculating_direction_curve(f, phase))
         ctx[key] = (f, dc, g)
     return ctx[key]
 
 
 def _spherical_pair(ctx):
-    if "spherical" not in ctx:
-        f = _frenet(ctx, "spherical_helix", -0.49, 0.49, 801)
-        span = cumulative_integral(ScalarSamples(f.grid, f.kappa)).data[-1]
-        phase = np.pi / 2 + (np.pi / 2 - span) / 2
-        dc = osculating_coefficients(f, phase)
-        g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc)))
-        ctx["spherical"] = (f, dc, g)
-    return ctx["spherical"]
+    f = _frenet(ctx, "spherical_helix", -0.49, 0.49, 801)
+    span = osculating_coefficients(f, 0.0).theta[-1]
+    return _pair(ctx, "spherical_helix", np.pi / 2 + (np.pi / 2 - span) / 2, -0.49, 0.49, 801)
 
 
 def _constant_rows(ctx):
@@ -280,7 +275,7 @@ def _property_rows(ctx):
     flags_equal = True
     for name in ("circular_helix", "helix_12_5"):
         c = evaluate_catalog(name)
-        moved = CurveSamples(c.grid, c.points @ q.T + shift, c.unit_speed)
+        moved = CurveSamples(c.grid, c.points @ q.T + shift)
         base, rep = classify(c), classify(moved)
         flags_equal &= (
             base.is_line,

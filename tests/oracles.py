@@ -64,3 +64,26 @@ FRAME_ORACLES = {
     "root_curve": root_curve_frame,
     "spherical_helix": spherical_helix_frame,
 }
+
+
+# (a, b, k, alpha, turns, n) of warped helices: the command line benchmark's
+# input family, three cases near n = 2000 and one coarse case
+WARPED_HELICES = (
+    (1.3, 0.8, 2, 0.4, 4, 2001),
+    (0.7, 1.6, 3, 0.6, 6, 1901),
+    (2.0, 0.5, 1, 0.2, 2, 2101),
+    (1.3, 0.8, 2, 0.4, 4, 501),
+)
+
+
+def warped_helix(a, b, k, alpha, turns, n):
+    """The helix (a cos(s/m), a sin(s/m), b s/m), m = hypot(a, b), sampled
+    at s(u) = L (u + alpha sin(2 pi k u) / (2 pi k)) for n uniform u in
+    [0, 1], with L = 2 pi turns m: a regular parameter that is not arc
+    length.  Returns the points, s at each sample, and the constant
+    curvature and torsion."""
+    m = np.hypot(a, b)
+    u = np.linspace(0.0, 1.0, n)
+    s = 2 * np.pi * turns * m * (u + alpha * np.sin(2 * np.pi * k * u) / (2 * np.pi * k))
+    pts = np.stack([a * np.cos(s / m), a * np.sin(s / m), b * s / m], axis=1)
+    return pts, s, a / m**2, b / m**2

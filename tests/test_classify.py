@@ -23,6 +23,8 @@ from frenetdir.numerics import (
     uniform_grid,
 )
 
+from oracles import warped_helix
+
 
 def donor(name, lo=None, hi=None, n=2001):
     grid = None if lo is None else uniform_grid(lo, hi, n)
@@ -47,14 +49,14 @@ def unit_circle(n=2001):
     g = uniform_grid(0.0, 2 * np.pi, n)
     s = g.values
     pts = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1)
-    return CurveSamples(grid=g, points=pts, unit_speed=True)
+    return CurveSamples(grid=g, points=pts)
 
 
 def straight_segment(n=101):
     g = uniform_grid(0.0, 1.0, n)
     s = g.values
     pts = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1)
-    return CurveSamples(grid=g, points=pts, unit_speed=True)
+    return CurveSamples(grid=g, points=pts)
 
 
 def invariant_mask(g, margin=3 * BOUNDARY_MARGIN, cos_floor=0.05):
@@ -148,6 +150,15 @@ class TestSlantHelixTest:
         rep = slant_helix_test(dir_curve(donor("circular_helix"), np.pi / 4))
         assert rep.is_constant
         assert not rep.degenerate_zero
+        assert abs(rep.mean - 1.0) < 1e-2
+        assert rep.rel_variation < 1e-3
+
+    def test_direction_curve_of_warped_unit_helix_passes(self):
+        # the same donor arc [0, 4 pi] on a parameter that is not arc length
+        pts = warped_helix(1.0, 1.0, 1, 0.3, np.sqrt(2.0), 2001)[0]
+        f = frenet_apparatus(CurveSamples(uniform_grid(0.0, 1.0, 2001), pts))
+        rep = slant_helix_test(dir_curve(f, np.pi / 4))
+        assert rep.is_constant
         assert abs(rep.mean - 1.0) < 1e-2
         assert rep.rel_variation < 1e-3
 
@@ -273,10 +284,10 @@ class TestClassify:
         assert rep.is_general_helix
         assert rep.helix_ratio.degenerate_zero
 
-    def test_reparametrizes_non_unit_input(self):
+    def test_non_unit_input_on_native_parameter(self):
         t = np.linspace(0.0, 4 * np.pi, 2001)
         pts = np.stack([np.cos(t), np.sin(t), t], axis=1)
-        c = CurveSamples(uniform_grid(0.0, 4 * np.pi, 2001), pts, unit_speed=False)
+        c = CurveSamples(uniform_grid(0.0, 4 * np.pi, 2001), pts)
         rep = classify(c)
         assert rep.is_general_helix
         assert abs(rep.helix_ratio.mean - 1.0) < 1e-3
@@ -288,7 +299,7 @@ class TestClassify:
         pts = c.points.copy()
         pts[500, 1] = np.nan
         with pytest.raises(DomainError, match=r"non-finite point at sample 500 \(s=3\.14159\)"):
-            classify(CurveSamples(c.grid, pts, unit_speed=True))
+            classify(CurveSamples(c.grid, pts))
 
 
 def theorem_pairs():
@@ -334,9 +345,7 @@ class TestCatalogTheorems:
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1.0
-        moved = CurveSamples(
-            c.grid, c.points @ q.T + np.array([3.0, -2.0, 0.5]), c.unit_speed
-        )
+        moved = CurveSamples(c.grid, c.points @ q.T + np.array([3.0, -2.0, 0.5]))
         rep = classify(moved)
         assert (rep.is_line, rep.is_plane, rep.is_general_helix,
                 rep.is_slant_helix, rep.is_rectifying) == (

@@ -12,6 +12,8 @@ import frenetdir
 from frenetdir.cli import _OPTIONS, _build_parser, _resolve_config, main
 from frenetdir.verify import run_checks
 
+from oracles import WARPED_HELICES, warped_helix
+
 
 @pytest.fixture(autouse=True)
 def _no_ambient_config(monkeypatch):
@@ -29,6 +31,15 @@ def write_line_csv(path, n=201):
         fh.write("s,x,y,z\n")
         for i in range(n):
             fh.write("%.17g,%.17g,0,0\n" % (i * 0.01, i * 0.01))
+
+
+def write_xyz_csv(path, points):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,z\n")
+        fh.writelines("%.17g,%.17g,%.17g\n" % tuple(p) for p in points)
+
+
+CURVE_COMMANDS = ("frenet", "direct", "classify", "od")
 
 
 class TestCatalog:
@@ -425,3 +436,57 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--curve", "trefoil")
         assert code == 1
         assert "no rows for curve" in err
+
+
+class TestCsvInput:
+    """x,y,z files go through the same path as catalog curves: the Frenet
+    data is computed on the sample index, with no resampling."""
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.csv"
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot read input file {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    def test_repeated_samples_are_degenerate(self, tmp_path, capsys, command):
+        pts = warped_helix(*WARPED_HELICES[3])[0]
+        pts[200:205] = pts[200]
+        path = tmp_path / "stalled.csv"
+        write_xyz_csv(path, pts)
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert err.startswith("error: degenerate curve: ")
+        assert err.count("\n") == 1
+
+    def test_warped_helix_direct_agreement_passes(self, tmp_path, capsys):
+        path = tmp_path / "warped.csv"
+        write_xyz_csv(path, warped_helix(*WARPED_HELICES[0])[0])
+        code, out, _ = run(capsys, "direct", "--input", str(path))
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("predicted curvature/torsion"))
+        assert line.endswith("(pass)")
+
+    def test_curve_commands_do_not_import_scipy(self, tmp_path):
+        path = tmp_path / "warped.csv"
+        write_xyz_csv(path, warped_helix(*WARPED_HELICES[3])[0])
+        out = tmp_path / "out.csv"
+        code = (
+            "import contextlib, io, sys\n"
+            "from frenetdir.cli import main\n"
+            "codes = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for cmd in {CURVE_COMMANDS!r}:\n"
+            f"        codes.append(main([cmd, '--input', {str(path)!r}]\n"
+            f"                          + ([] if cmd == 'classify' else ['--output', {str(out)!r}])))\n"
+            "    codes.append(main(['verify']))\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(frenetdir.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 3] []"

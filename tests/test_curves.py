@@ -8,6 +8,7 @@ import pytest
 
 import frenetdir
 from frenetdir.curves import (
+    UNIT_SPEED_TOL,
     CurveSamples,
     arclength_reparametrize,
     catalog_entry,
@@ -106,7 +107,6 @@ class TestEvaluateCatalog:
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5", "root_curve", "spherical_helix"])
     def test_unit_speed_on_default_domain(self, name):
         c = evaluate_catalog(name, grid=default_grid(catalog_entry(name), n=2001))
-        assert c.unit_speed
         assert unit_speed_deviation(c) < 1e-4
 
     def test_spherical_lies_on_a_sphere(self):
@@ -124,7 +124,7 @@ class TestCsvRoundTrip:
         back = load_csv(p)
         assert back.grid == c.grid
         assert np.array_equal(back.points, c.points)
-        assert back.unit_speed
+        assert unit_speed_deviation(back) <= UNIT_SPEED_TOL
 
     def test_file_line_count(self, tmp_path):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.0, 9))
@@ -171,13 +171,14 @@ class TestCsvRoundTrip:
         pts[5, 2] = value
         pts[7, 0] = value
         with pytest.raises(DomainError, match=r"sample 5 \(s=5\)"):
-            CurveSamples(g, pts, unit_speed=False)
+            CurveSamples(g, pts)
 
     def test_xyz_only_is_not_unit_speed(self, tmp_path):
         p = tmp_path / "xyz.csv"
         p.write_text("x,y,z\n" + "".join(f"{i},0,0\n" for i in range(9)), encoding="utf-8")
         c = load_csv(p)
-        assert not c.unit_speed
+        # without an s column the parameter is the row index, whatever the
+        # spacing of the points
         assert c.grid.s_min == 0.0 and c.grid.s_max == 8.0
 
     def test_non_monotone_s_rejected(self, tmp_path):
@@ -192,7 +193,7 @@ class TestCsvRoundTrip:
         p = tmp_path / "nonuni.csv"
         p.write_text("s,x,y,z\n" + "".join(f"{v},{v},0,0\n" for v in s), encoding="utf-8")
         c = load_csv(p)
-        assert not c.unit_speed
+        assert unit_speed_deviation(c) > UNIT_SPEED_TOL
         assert c.grid.s_max == 8.0
 
 
@@ -200,13 +201,13 @@ class TestArclengthReparametrize:
     def test_unit_speed_curve_is_fixed_point(self):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 4 * np.pi, 401))
         r = arclength_reparametrize(c, 401)
-        assert r.unit_speed
+        assert unit_speed_deviation(r) <= UNIT_SPEED_TOL
         assert np.max(np.abs(r.points - c.points)) < 1e-6
 
     def test_straight_segment(self):
         g = uniform_grid(0.0, 1.0, 51)
         pts = np.stack([2 * g.values, np.zeros(51), np.zeros(51)], axis=1)
-        r = arclength_reparametrize(CurveSamples(g, pts, unit_speed=False), 51)
+        r = arclength_reparametrize(CurveSamples(g, pts), 51)
         assert r.grid.s_min == 0.0
         assert r.grid.s_max == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(r.points[:, 0], r.grid.values, atol=1e-10)
@@ -214,7 +215,7 @@ class TestArclengthReparametrize:
     def test_circle_length(self):
         g = uniform_grid(0.0, 2 * np.pi, 2001)
         pts = np.stack([np.cos(g.values), np.sin(g.values), np.zeros(2001)], axis=1)
-        r = arclength_reparametrize(CurveSamples(g, pts, unit_speed=True), 1001)
+        r = arclength_reparametrize(CurveSamples(g, pts), 1001)
         assert r.grid.s_max == pytest.approx(2 * np.pi, abs=1e-8)
 
     def test_non_unit_parametrization_recovered(self):
@@ -223,7 +224,7 @@ class TestArclengthReparametrize:
         t = g.values**2 * 4 * np.pi + 0.3 * g.values
         r2 = np.sqrt(2.0)
         pts = np.stack([np.cos(t / r2), np.sin(t / r2), t / r2], axis=1)
-        r = arclength_reparametrize(CurveSamples(g, pts, unit_speed=False), 801)
+        r = arclength_reparametrize(CurveSamples(g, pts), 801)
         assert unit_speed_deviation(r) < 1e-4
 
     def test_idempotent(self):
@@ -231,7 +232,7 @@ class TestArclengthReparametrize:
         t = g.values**2 * 4 * np.pi + 0.3 * g.values
         r2 = np.sqrt(2.0)
         pts = np.stack([np.cos(t / r2), np.sin(t / r2), t / r2], axis=1)
-        once = arclength_reparametrize(CurveSamples(g, pts, unit_speed=False), 401)
+        once = arclength_reparametrize(CurveSamples(g, pts), 401)
         twice = arclength_reparametrize(once, 401)
         assert np.max(np.abs(twice.points - once.points)) < 1e-6
 
@@ -239,7 +240,7 @@ class TestArclengthReparametrize:
         g = uniform_grid(-1.0, 1.0, 101)
         pts = np.stack([g.values**3, np.zeros(101), np.zeros(101)], axis=1)
         with pytest.raises(DomainError, match="floor"):
-            arclength_reparametrize(CurveSamples(g, pts, unit_speed=False), 101)
+            arclength_reparametrize(CurveSamples(g, pts), 101)
 
     def test_even_n_out_rejected(self):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.0, 51))

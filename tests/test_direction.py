@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetdir.curves import CurveSamples, evaluate_catalog, unit_speed_deviation
+from frenetdir.curves import UNIT_SPEED_TOL, CurveSamples, evaluate_catalog, unit_speed_deviation
 from frenetdir.direction import (
     DEGENERACY_FLOOR,
     DirectionCoefficients,
@@ -22,6 +22,8 @@ from frenetdir.errors import DomainError
 from frenetdir.frenet import KAPPA_FLOOR, FrenetData, frenet_apparatus
 from frenetdir.numerics import VectorSamples, uniform_grid
 
+from oracles import warped_helix
+
 
 def donor(name, grid=None, phase=np.pi / 4):
     f = frenet_apparatus(evaluate_catalog(name, grid=grid))
@@ -39,14 +41,14 @@ def unit_circle(n=2001):
     g = uniform_grid(0.0, 2 * np.pi, n)
     s = g.values
     pts = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1)
-    return frenet_apparatus(CurveSamples(grid=g, points=pts, unit_speed=True))
+    return frenet_apparatus(CurveSamples(grid=g, points=pts))
 
 
 def straight_line(n=101):
     g = uniform_grid(0.0, 1.0, n)
     s = g.values
     pts = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1)
-    return frenet_apparatus(CurveSamples(grid=g, points=pts, unit_speed=True))
+    return frenet_apparatus(CurveSamples(grid=g, points=pts))
 
 
 def forced_coefficients(grid, u, v, theta=None):
@@ -146,7 +148,7 @@ class TestIntegrateDirectionCurve:
         gamma = integrate_direction_curve(X)
         expect = np.stack([g.values, np.zeros(g.n), np.zeros(g.n)], axis=1)
         assert np.allclose(gamma.points, expect, atol=1e-12)
-        assert gamma.unit_speed
+        assert unit_speed_deviation(gamma) <= UNIT_SPEED_TOL
 
     def test_start_point_offsets_curve(self):
         g = uniform_grid(0.0, 1.0, 101)
@@ -291,6 +293,7 @@ class TestDonorRecovery:
             kappa=0.5 * np.cos(s / 2),
             tau=0.5 * np.sin(s / 2),
             frenet_valid=np.ones(n, dtype=bool),
+            speed=np.ones(n),
         )
         rec = donor_from_direction(fake)
         inner = grid.interior()
@@ -308,6 +311,7 @@ class TestDonorRecovery:
             kappa=np.full(n, 0.3),
             tau=np.zeros(n),
             frenet_valid=np.ones(n, dtype=bool),
+            speed=np.ones(n),
         )
         rec = donor_from_direction(fake)
         assert np.allclose(rec.kappa.data, 0.0, atol=1e-12)
@@ -320,6 +324,17 @@ class TestDonorRecovery:
         _, _, g = constructed("circular_helix", grid=grid)
         rec = donor_from_direction(g)
         inner = grid.interior(6)
+        assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
+
+    def test_round_trip_warped_parameter(self):
+        # the window of test_round_trip_helix on a parameter that is not arc
+        # length: the recovered curvature is a turning rate per arc length
+        pts = warped_helix(1.0, 1.0, 1, 0.3, 1.47 / (2 * np.pi * np.sqrt(2.0)), 201)[0]
+        f = frenet_apparatus(CurveSamples(uniform_grid(0.0, 1.0, 201), pts))
+        g = frenet_apparatus(osculating_direction_curve(f, np.pi / 4))
+        rec = donor_from_direction(g)
+        inner = g.valid_interior(6)
         assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
         assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
 
@@ -353,6 +368,7 @@ class TestDonorRecovery:
             kappa=kappa,
             tau=np.zeros(n),
             frenet_valid=np.ones(n, dtype=bool),
+            speed=np.ones(n),
         )
         with pytest.raises(DomainError, match=r"curvature below floor on \[0\.8, 0\.8\]"):
             donor_from_direction(fake)

@@ -11,9 +11,9 @@ from frenetdir.frenet import (
     frenet_derivative_check,
     verify_frame,
 )
-from frenetdir.numerics import VectorSamples, derivative, uniform_grid
+from frenetdir.numerics import Grid, VectorSamples, derivative, uniform_grid
 
-from oracles import FRAME_ORACLES
+from oracles import FRAME_ORACLES, WARPED_HELICES, warped_helix
 
 
 def catalog_frenet(name, n=2001):
@@ -39,25 +39,60 @@ class TestCurvatures:
     def test_straight_line_flagged_invalid(self):
         g = uniform_grid(0.0, 5.0, 51)
         pts = np.stack([g.values, np.zeros(51), np.zeros(51)], axis=1)
-        f = frenet_apparatus(CurveSamples(g, pts, unit_speed=True))
+        f = frenet_apparatus(CurveSamples(g, pts))
         assert not f.frenet_valid.any()
         assert np.allclose(f.kappa, 0.0, atol=1e-12)
         assert np.isnan(f.N).all()
         assert np.isnan(f.B).all()
         assert np.isnan(f.tau).all()
 
-    def test_non_unit_speed_rejected(self):
-        g = uniform_grid(0.0, 1.0, 51)
-        pts = np.stack([3 * g.values, np.zeros(51), np.zeros(51)], axis=1)
-        with pytest.raises(DomainError, match="arclength_reparametrize"):
-            frenet_apparatus(CurveSamples(g, pts, unit_speed=False))
+    def test_non_unit_speed_native_accuracy(self):
+        # the unit helix (cos p, sin p, p) on p = 3t + t^2: curvature and
+        # torsion are 1/2 on any parameter, the speed is sqrt(2) dp/dt and
+        # the arc length sqrt(2) p
+        g = uniform_grid(0.0, 2.0, 2001)
+        t = g.values
+        p = 3 * t + t**2
+        f = frenet_apparatus(CurveSamples(g, np.stack([np.cos(p), np.sin(p), p], axis=1)))
+        inner = f.valid_interior()
+        assert np.max(np.abs(f.kappa[inner] - 0.5)) < 1e-6
+        assert np.max(np.abs(f.tau[inner] - 0.5)) < 1e-6
+        assert np.max(np.abs(f.speed[inner] - np.sqrt(2.0) * (3 + 2 * t[inner]))) < 1e-6
+        assert np.max(np.abs(f.s - np.sqrt(2.0) * p)) < 1e-6
+
+    def test_stalled_sample_rejected(self):
+        # five repeated samples: the central stencil of the middle one sees
+        # no motion at all
+        g = uniform_grid(0.0, 2.0, 101)
+        pts = np.stack([np.cos(g.values), np.sin(g.values), g.values], axis=1)
+        pts[48:53] = pts[48]
+        with pytest.raises(DomainError, match=r"degenerate curve: .* at sample 50 \(parameter 1\)"):
+            frenet_apparatus(CurveSamples(g, pts))
 
     def test_planar_curve_torsion_vanishes(self):
         g = uniform_grid(0.0, 2 * np.pi, 1001)
         pts = np.stack([np.cos(g.values), np.sin(g.values), np.zeros(1001)], axis=1)
-        f = frenet_apparatus(CurveSamples(g, pts, unit_speed=True))
+        f = frenet_apparatus(CurveSamples(g, pts))
         mask = f.valid_interior()
         assert np.max(np.abs(f.tau[mask])) < 1e-8
+
+
+class TestNativeParameter:
+    """Warped helices on their own parameter, the sample index as an x,y,z
+    CSV gives it: curvature, torsion and arc length against closed form."""
+
+    @pytest.mark.parametrize("case", WARPED_HELICES, ids=lambda c: f"n{c[-1]}-k{c[2]}")
+    def test_warped_helix_closed_form(self, case):
+        pts, s, kappa, tau = warped_helix(*case)
+        n = len(s)
+        f = frenet_apparatus(CurveSamples(Grid(0.0, n - 1.0, n), pts))
+        inner = f.valid_interior()
+        # the coarse case is truncation-limited: O(h^4) at a quarter of the
+        # samples per turn
+        tol = 1e-6 if n > 1000 else 1e-5
+        assert np.max(np.abs(f.kappa[inner] - kappa)) < tol
+        assert np.max(np.abs(f.tau[inner] - tau)) < tol
+        assert np.max(np.abs(f.s - s) / s[-1]) < tol
 
 
 class TestAgainstClosedForms:
@@ -108,17 +143,19 @@ def _frenet_apparatus_numpy(c):
     pts = VectorSamples(c.grid, c.points)
     d1, d2, d3 = (derivative(pts, k).data for k in (1, 2, 3))
     d1xd2 = np.cross(d1, d2)
-    kappa = np.linalg.norm(d1xd2, axis=1)
+    speed = np.linalg.norm(d1, axis=1)
+    cross_norm = np.linalg.norm(d1xd2, axis=1)
+    kappa = cross_norm / speed**3
     valid = kappa >= KAPPA_FLOOR
-    T = d1 / np.linalg.norm(d1, axis=1)[:, None]
-    denom = np.where(valid, kappa, 1.0)
+    T = d1 / speed[:, None]
+    denom = np.where(valid, cross_norm, 1.0)
     B = d1xd2 / denom[:, None]
     N = np.cross(B, T)
     tau = np.einsum("ij,ij->i", d1xd2, d3) / denom**2
     B[~valid] = np.nan
     N[~valid] = np.nan
     tau[~valid] = np.nan
-    return T, N, B, kappa, tau, valid
+    return T, N, B, kappa, tau, valid, speed
 
 
 class TestNumpyReference:
@@ -126,8 +163,9 @@ class TestNumpyReference:
     @pytest.mark.parametrize("n", [201, 2001])
     def test_bit_identical(self, name, n):
         c, f = catalog_frenet(name, n)
-        T, N, B, kappa, tau, valid = _frenet_apparatus_numpy(c)
-        for got, expected in ((f.T, T), (f.N, N), (f.B, B), (f.kappa, kappa), (f.tau, tau)):
+        T, N, B, kappa, tau, valid, speed = _frenet_apparatus_numpy(c)
+        pairs = ((f.T, T), (f.N, N), (f.B, B), (f.kappa, kappa), (f.tau, tau), (f.speed, speed))
+        for got, expected in pairs:
             assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(f.frenet_valid, valid)
 
@@ -142,7 +180,7 @@ class TestVerifyFrame:
 
     def test_negated_normal_breaks_handedness(self):
         _, f = catalog_frenet("circular_helix", n=201)
-        flipped = FrenetData(f.grid, f.T, -f.N, f.B, f.kappa, f.tau, f.frenet_valid)
+        flipped = FrenetData(f.grid, f.T, -f.N, f.B, f.kappa, f.tau, f.frenet_valid, f.speed)
         r = verify_frame(flipped, tol=1e-6)
         assert not r.passed
         assert r.handedness == pytest.approx(2.0, abs=1e-4)
@@ -150,7 +188,7 @@ class TestVerifyFrame:
     def test_all_invalid_is_vacuous_pass(self):
         g = uniform_grid(0.0, 5.0, 51)
         pts = np.stack([g.values, np.zeros(51), np.zeros(51)], axis=1)
-        f = frenet_apparatus(CurveSamples(g, pts, unit_speed=True))
+        f = frenet_apparatus(CurveSamples(g, pts))
         r = verify_frame(f, tol=1e-6)
         assert r.passed
         assert r.vacuous
@@ -176,10 +214,19 @@ class TestDerivativeIdentities:
             kappa=0.0 * ones,
             tau=0.0 * ones,
             frenet_valid=np.ones(51, dtype=bool),
+            speed=ones,
         )
         r = frenet_derivative_check(f, tol=1e-12)
         assert r.passed
         assert max(r.res_T, r.res_N, r.res_B) < 1e-13
+
+    @pytest.mark.parametrize("case", WARPED_HELICES[:3], ids=lambda c: f"n{c[-1]}-k{c[2]}")
+    def test_warped_helix_residuals_small(self, case):
+        # the identities hold in d/ds, not in d/dt of the warped parameter
+        pts = warped_helix(*case)[0]
+        n = len(pts)
+        r = frenet_derivative_check(frenet_apparatus(CurveSamples(Grid(0.0, n - 1.0, n), pts)))
+        assert r.passed, r
 
     def test_residuals_shrink_with_resolution(self):
         def worst(n):

@@ -14,7 +14,6 @@ from frenetdir.numerics import (
     cross,
     cumulative_integral,
     derivative,
-    is_constant,
     norm,
     uniform_grid,
 )
@@ -287,15 +286,6 @@ class TestConstancy:
         # tiny absolute wobble around zero must not divide by zero
         r = constancy(np.array([-1e-15, 0.0, 1e-15]), rel_tol=1e-3)
         assert np.isfinite(r.rel_variation)
-
-    def test_is_constant_accepts_samples(self):
-        g = uniform_grid(0.0, 1.0, 9)
-        r = is_constant(ScalarSamples(g, np.full(9, 7.0)), rel_tol=1e-6)
-        assert r.is_constant
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            is_constant(np.ones(5), rel_tol=0.0)
 
 
 @settings(max_examples=40, deadline=None)

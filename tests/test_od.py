@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetdir.curves import CurveSamples, evaluate_catalog
+from frenetdir.curves import UNIT_SPEED_TOL, CurveSamples, evaluate_catalog, unit_speed_deviation
 from frenetdir.direction import (
     direction_field,
     integrate_direction_curve,
@@ -37,23 +37,26 @@ def straight_segment(n=101):
     g = uniform_grid(0.0, 1.0, n)
     s = g.values
     pts = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1)
-    return CurveSamples(grid=g, points=pts, unit_speed=True)
+    return CurveSamples(grid=g, points=pts)
 
 
-def spherical_image_curve(a, b, length, n, r=0.8):
+def spherical_image_points(a, s, r=0.8):
     # Closed-form curve with position confined to its rectifying plane:
     # distance |gamma| = sqrt(a^2 + s^2) stretched over a unit-sphere
-    # circle of radius r, sampled in exact arc length starting at s = b.
-    # tau/kappa comes out as s/a, so checking against parameters (a, b)
-    # with arc length measured from the first sample reproduces the
-    # predicted line (s_rel + b)/a.
-    s = np.linspace(b, b + length, n)
+    # circle of radius r, at arc length s.  tau/kappa comes out as s/a, so
+    # checking against parameters (a, b) with arc length measured from a
+    # first sample at s = b reproduces the predicted line (s_rel + b)/a.
     t = np.arctan(s / a)
     y = np.column_stack(
         [r * np.cos(t / r), r * np.sin(t / r), np.full_like(t, np.sqrt(1 - r * r))]
     )
-    pts = np.sqrt(a * a + s * s)[:, None] * y
-    return CurveSamples(grid=uniform_grid(b, b + length, n), points=pts, unit_speed=True)
+    return np.sqrt(a * a + s * s)[:, None] * y
+
+
+def spherical_image_curve(a, b, length, n, r=0.8):
+    # sampled in exact arc length starting at s = b
+    s = np.linspace(b, b + length, n)
+    return CurveSamples(grid=uniform_grid(b, b + length, n), points=spherical_image_points(a, s, r))
 
 
 def matched_profile_donor(a, b, hi, n, tau_scale=4.0, sub=4):
@@ -84,7 +87,7 @@ def matched_profile_donor(a, b, hi, n, tau_scale=4.0, sub=4):
             s += h
         out[i] = y
     return CurveSamples(
-        grid=uniform_grid(0.0, hi, n), points=out[:, :3], unit_speed=True
+        grid=uniform_grid(0.0, hi, n), points=out[:, :3]
     )
 
 
@@ -166,16 +169,16 @@ class TestConstruction:
     def test_unit_speed_flag_false_for_generic_donor(self):
         f = donor("helix_12_5", 0.0, 169.0, 2001)
         gam = od_osculating_curve(f, ODParameters(1.0, 1.0))
-        assert not gam.unit_speed
+        assert unit_speed_deviation(gam) > UNIT_SPEED_TOL
 
     def test_unit_speed_flag_true_for_matched_profile(self):
         f = frenet_apparatus(matched_profile_donor(1.0, 1.0, 4.0, 1001))
         p = ODParameters(1.0, 1.0, np.arctan2(1.0, 1.0))
         gam = od_osculating_curve(f, p)
-        assert gam.unit_speed
+        assert unit_speed_deviation(gam) <= UNIT_SPEED_TOL
         # with the angle locked to arctan(rho/a) the position reduces to
         # a radial stretch of the donor tangent direction
-        srel = f.grid.values - f.grid.values[0]
+        srel = f.s - f.s[0]
         rad = np.sqrt((srel + 1.0) ** 2 + 1.0)
         assert np.max(np.abs(np.linalg.norm(gam.points, axis=1) - rad)) < 1e-13
 
@@ -209,7 +212,6 @@ class TestModifiedDarboux:
         circle = CurveSamples(
             grid=g,
             points=np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1),
-            unit_speed=True,
         )
         f = frenet_apparatus(circle)
         itr = f.grid.interior(6)
@@ -243,6 +245,13 @@ class TestModifiedDarboux:
 
 
 class TestVerify:
+    def test_one_usable_sample_is_domain_error(self):
+        # 13 samples leave one row clear of the doubled boundary margin, too
+        # few for the ratio line
+        c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.2, 13))
+        with pytest.raises(DomainError, match="line fit needs 2 usable samples, got 1"):
+            verify_od_properties(c, ODParameters(1.0, 1.0))
+
     def test_rectifying_reference_curve_passes(self):
         c = spherical_image_curve(1.0, 1.0, 4.0, 2001)
         rep = verify_od_properties(c, ODParameters(1.0, 1.0))
@@ -252,6 +261,18 @@ class TestVerify:
         assert rep.slope_error < 1e-3
         assert rep.intercept_error < 1e-3
         assert rep.cross_ratio < 1e-3
+
+    def test_rectifying_reference_on_warped_parameter(self):
+        # the curve of test_rectifying_reference_curve_passes sampled at
+        # s = 1 + 4 (u + 0.3 sin(2 pi u) / (2 pi)): both line fits run
+        # against the curve's own arc length, not against u
+        u = np.linspace(0.0, 1.0, 2001)
+        s = 1.0 + 4.0 * (u + 0.3 * np.sin(2 * np.pi * u) / (2 * np.pi))
+        c = CurveSamples(uniform_grid(0.0, 1.0, 2001), spherical_image_points(1.0, s))
+        rep = verify_od_properties(c, ODParameters(1.0, 1.0))
+        assert rep.passed
+        assert rep.slope_error < 1e-3
+        assert rep.intercept_error < 1e-3
 
     def test_rectifying_reference_second_parameters(self):
         c = spherical_image_curve(2.0, 0.7, 5.0, 1001)
@@ -278,7 +299,7 @@ class TestVerify:
         f = donor("helix_12_5", 0.0, 169.0, 2001)
         p = ODParameters(1.0, 1.0)
         gam = od_osculating_curve(f, p)
-        assert not gam.unit_speed
+        assert unit_speed_deviation(gam) > UNIT_SPEED_TOL
         rep = verify_od_properties(gam, p)
         assert not rep.passed
         assert rep.rectifying.normal_component > 0.5

@@ -68,7 +68,7 @@ class TestRigidMotion:
         # machine-level agreement cannot be demanded
         q = rotation(axis, angle)
         c, f0 = frame_on_window(name, 0.0, 1.0, n=401)
-        moved = CurveSamples(c.grid, c.points @ q.T + np.asarray(shift), c.unit_speed)
+        moved = CurveSamples(c.grid, c.points @ q.T + np.asarray(shift))
         f1 = frenet_apparatus(moved)
         m = f0.frenet_valid & f1.frenet_valid
         assert np.max(np.abs(f1.kappa[m] - f0.kappa[m])) < 1e-6
@@ -86,7 +86,7 @@ class TestRigidMotion:
     def test_classification_invariant(self, name, axis, angle, shift):
         q = rotation(axis, angle)
         c = evaluate_catalog(name)
-        moved = CurveSamples(c.grid, c.points @ q.T + np.asarray(shift), c.unit_speed)
+        moved = CurveSamples(c.grid, c.points @ q.T + np.asarray(shift))
         base, rep = classify(c), classify(moved)
         assert (base.is_line, base.is_plane, base.is_general_helix,
                 base.is_slant_helix, base.is_rectifying) == (
