@@ -75,7 +75,7 @@ from .od import (
     od_osculating_curve,
     verify_od_properties,
 )
-from .verify import CheckRow, check_names, run_checks
+from .verify import CheckRow, run_checks
 
 __version__ = "0.1.0"
 
@@ -108,7 +108,6 @@ __all__ = [
     "binormal_direction_curve",
     "catalog_entry",
     "catalog_names",
-    "check_names",
     "classify",
     "compare_predicted",
     "cumulative_integral",

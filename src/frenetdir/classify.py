@@ -19,9 +19,14 @@ from .numerics import (
     BOUNDARY_MARGIN,
     ConstancyReport,
     ScalarSamples,
+    _require_tol,
     constancy,
     norm,
 )
+
+# curvature (line_test) or torsion (plane_test) below this magnitude on
+# every usable sample makes the curve straight or planar
+FLAT_TOL = 1e-6
 
 # a constancy verdict whose level is below this magnitude is the
 # identically-zero case: true as stated but carrying no axis information
@@ -64,12 +69,11 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     degenerate_zero set; relative variation is meaningless on a roundoff
     floor, and the median-against-level test mirrors slant_helix_test.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    _require_tol("rel_tol", rel_tol)
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("general_helix_test")
-    return _constancy_or_zero(f.tau[mask] / f.kappa[mask], rel_tol)
+    return _constancy_or_zero(f.ratio[mask], rel_tol)
 
 
 def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
@@ -79,11 +83,7 @@ def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
     the derivative stencil touches such a sample."""
     if not np.any(f.frenet_valid):
         raise _no_samples("slant_helix_invariant")
-    n = f.grid.n
-    ratio = np.full(n, np.nan)
-    m = f.frenet_valid
-    ratio[m] = f.tau[m] / f.kappa[m]
-    d = f._d_ds(ratio)
+    d = f._d_ds(f.ratio)
     sq = f.kappa**2 + f.tau**2
     with np.errstate(invalid="ignore"):
         sigma = (f.kappa**2 / sq**1.5) * d
@@ -110,8 +110,7 @@ def slant_helix_test(
     because the folded values sit on a rough roundoff floor whose extreme
     outliers scale with grid resolution.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    _require_tol("rel_tol", rel_tol)
     sigma = slant_helix_invariant(f).data
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
@@ -122,18 +121,19 @@ def slant_helix_test(
     return _constancy_or_zero(np.abs(sigma[mask]), rel_tol)
 
 
-def line_test(f: FrenetData, abs_tol: float = 1e-6) -> bool:
-    """True when the curvature vanishes to tolerance: the samples trace a
+def line_test(f: FrenetData) -> bool:
+    """True when the curvature stays below FLAT_TOL: the samples trace a
     straight segment and no frame-based predicate applies."""
     inner = f.grid.interior()
-    return bool(np.max(f.kappa[inner]) < abs_tol)
+    return bool(np.max(f.kappa[inner]) < FLAT_TOL)
 
 
-def plane_test(f: FrenetData, abs_tol: float = 1e-6) -> bool:
+def plane_test(f: FrenetData) -> bool:
+    """True when the torsion stays below FLAT_TOL on usable samples."""
     mask = f.valid_interior()
     if not np.any(mask):
         return False
-    return bool(np.max(np.abs(f.tau[mask])) < abs_tol)
+    return bool(np.max(np.abs(f.tau[mask])) < FLAT_TOL)
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     """
     if c.grid != f.grid:
         raise ValueError(f"grids differ: {c.grid} vs {f.grid}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol("tol", tol)
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("rectifying_test")
@@ -185,7 +184,7 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     normal_component = normal / max(scale, 1e-12)
 
     s = f.s[mask]
-    fit = _fit_line(s, f.tau[mask] / f.kappa[mask], "rectifying_test")
+    fit = _fit_line(s, f.ratio[mask], "rectifying_test")
     span = float(s[-1] - s[0])
     ok = normal_component < tol and fit.max_residual < tol * (1.0 + abs(fit.slope) * span)
     return RectifyingReport(normal_component=normal_component, fit=fit, is_rectifying=bool(ok))
@@ -218,7 +217,6 @@ _IDENTICALLY_ZERO = ConstancyReport(
 def classify(
     c: CurveSamples,
     rel_tol: float = 1e-3,
-    abs_tol: float = 1e-6,
     rect_tol: float = 2e-2,
 ) -> ClassificationReport:
     """Run every predicate on a sampled curve, on its own parameter.
@@ -231,8 +229,10 @@ def classify(
     motion could flip a median-based verdict.  Call the individual tests
     for the raw measured statistics.
     """
+    _require_tol("rel_tol", rel_tol)
+    _require_tol("rect_tol", rect_tol)
     f = frenet_apparatus(c)
-    if line_test(f, abs_tol):
+    if line_test(f):
         return ClassificationReport(
             is_line=True,
             is_plane=False,
@@ -243,7 +243,7 @@ def classify(
             sigma_it=None,
             rectifying=None,
         )
-    is_plane = plane_test(f, abs_tol)
+    is_plane = plane_test(f)
     helix_ratio = (
         _IDENTICALLY_ZERO if is_plane else general_helix_test(f, rel_tol)
     )

@@ -54,7 +54,7 @@ from .direction import (
     principal_direction_curve,
 )
 from .errors import DomainError, NumericalError
-from .frenet import frame_orthonormality, frenet_apparatus
+from .frenet import frenet_apparatus, verify_frame
 from .numerics import uniform_grid
 from .od import ODParameters, od_osculating_curve, verify_od_properties
 
@@ -203,20 +203,8 @@ def _source_curve(cfg):
         raise ValueError(f"cannot read input file {cfg.input}: {exc.strerror or exc}") from None
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _dump_json(payload, path=None):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist())
     if path is None:
         print(text)
     else:
@@ -307,16 +295,16 @@ def cmd_frenet(args):
     if not np.any(mask):
         raise DomainError("frenet: curvature below floor at every interior sample")
     kappa, tau = f.kappa[mask], f.tau[mask]
-    ortho = frame_orthonormality(f)
+    frame = verify_frame(f, cfg.tol_frame)
     print(f"samples: {f.grid.n} on [{f.grid.values[0]:g}, {f.grid.values[-1]:g}]"
           f" ({int(mask.sum())} interior with frame)")
     print(f"kappa: mean={kappa.mean():.7g} min={kappa.min():.7g} max={kappa.max():.7g}")
     print(f"tau:   mean={tau.mean():.7g} min={tau.min():.7g} max={tau.max():.7g}")
-    verdict = "ok" if ortho <= cfg.tol_frame else "FAIL"
-    print(f"frame orthonormality: max deviation {ortho:.3e} (tol {cfg.tol_frame:g}) {verdict}")
+    verdict = "ok" if frame.passed else "FAIL"
+    print(f"frame orthonormality: max deviation {frame.worst:.3e} (tol {cfg.tol_frame:g}) {verdict}")
     _write_frenet(f, cfg)
-    if ortho > cfg.tol_frame:
-        raise NumericalError(f"frame orthonormality {ortho:.3e} exceeds {cfg.tol_frame:g}")
+    if not frame.passed:
+        raise NumericalError(f"frame orthonormality {frame.worst:.3e} exceeds {cfg.tol_frame:g}")
     return 0
 
 

@@ -21,6 +21,7 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _require_tol,
     cumulative_integral,
     norm,
 )
@@ -68,7 +69,6 @@ class DirectionCoefficients:
     theta: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray
     phase_c: float
     degeneracy_flags: np.ndarray
 
@@ -84,7 +84,6 @@ def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficie
         theta=theta,
         u=u,
         v=v,
-        w=np.zeros(f.grid.n),
         phase_c=float(phase_c),
         degeneracy_flags=flags,
     )
@@ -98,7 +97,7 @@ def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
     return VectorSamples(f.grid, X)
 
 
-def _integral_curve(X: VectorSamples, speed, start) -> CurveSamples:
+def _integral_curve(X: VectorSamples, speed, start=(0.0, 0.0, 0.0)) -> CurveSamples:
     """Integral of the unit field X times speed over the grid parameter."""
     worst = float(np.max(np.abs(norm(X.data) - 1.0)))
     if not worst <= 1e-6:
@@ -113,21 +112,21 @@ def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveS
     return _integral_curve(X, np.ones(X.grid.n), start)
 
 
-def osculating_direction_curve(f: FrenetData, phase_c: float, start=(0.0, 0.0, 0.0)) -> CurveSamples:
+def osculating_direction_curve(f: FrenetData, phase_c: float) -> CurveSamples:
     """Coefficients, field, then the integral curve over the donor's arc
-    length, sampled on the donor's grid."""
+    length from the origin, sampled on the donor's grid."""
     dc = osculating_coefficients(f, phase_c)
-    return _integral_curve(direction_field(f, dc), f.speed, start)
+    return _integral_curve(direction_field(f, dc), f.speed)
 
 
-def principal_direction_curve(f: FrenetData, start=(0.0, 0.0, 0.0)) -> CurveSamples:
+def principal_direction_curve(f: FrenetData) -> CurveSamples:
     _require_valid(f, "principal_direction_curve")
-    return _integral_curve(VectorSamples(f.grid, f.N), f.speed, start)
+    return _integral_curve(VectorSamples(f.grid, f.N), f.speed)
 
 
-def binormal_direction_curve(f: FrenetData, start=(0.0, 0.0, 0.0)) -> CurveSamples:
+def binormal_direction_curve(f: FrenetData) -> CurveSamples:
     _require_valid(f, "binormal_direction_curve")
-    return _integral_curve(VectorSamples(f.grid, f.B), f.speed, start)
+    return _integral_curve(VectorSamples(f.grid, f.B), f.speed)
 
 
 @dataclass(frozen=True)
@@ -187,6 +186,7 @@ def compare_predicted(
     """
     _require_same_grid(g.grid, pb.grid)
     _require_same_grid(g.grid, dc.grid)
+    _require_tol("atol", atol)
     mask = g.valid_interior() & ~dc.degeneracy_flags
     if cos_floor > 0.0:
         mask &= np.abs(dc.v) > cos_floor
@@ -220,7 +220,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
     sq = g.kappa**2 + g.tau**2
-    ratio = g._d_ds(g.tau / g.kappa)
+    ratio = g._d_ds(g.ratio)
     kappa = (g.kappa**2 / sq) * ratio
     return RecoveredCurvatures(
         kappa=ScalarSamples(g.grid, kappa),
@@ -241,8 +241,7 @@ class MannheimReport:
 
 def mannheim_check(g: FrenetData, f: FrenetData, tol: float = 1e-4) -> MannheimReport:
     _require_same_grid(g.grid, f.grid)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol("tol", tol)
     mask = g.valid_interior() & f.frenet_valid & (g.kappa >= MANNHEIM_KAPPA_FRACTION * f.kappa)
     if not np.any(mask):
         return MannheimReport(np.nan, passed=True, vacuous=True)

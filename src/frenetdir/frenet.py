@@ -24,6 +24,7 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _require_tol,
     cross,
     cumulative_integral,
     derivative,
@@ -61,6 +62,15 @@ class FrenetData:
     def s(self) -> np.ndarray:
         """Arc length at each sample: the cumulative integral of speed."""
         return cumulative_integral(ScalarSamples(self.grid, self.speed), self.grid.s_min).data
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        """Torsion over curvature per sample, NaN where frenet_valid is
+        false.  Computed once and shared, so it is read-only."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(self.frenet_valid, self.tau / self.kappa, np.nan)
+        out.flags.writeable = False
+        return out
 
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
         """Arc-length derivative (1/speed) d/dt of per-sample values."""
@@ -116,8 +126,9 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
 class FrameCheck:
     """Worst-case orthonormality and handedness violations.
 
-    Each field is a max of |deviation| over valid interior samples; vacuous
-    marks the no-valid-samples case, which passes by convention.
+    Each deviation field is a max of |deviation| over valid interior
+    samples and worst is the largest of them; vacuous marks the
+    no-valid-samples case, which passes by convention.
     """
 
     norm_T: float
@@ -127,49 +138,33 @@ class FrameCheck:
     dot_TB: float
     dot_NB: float
     handedness: float
+    worst: float
     passed: bool
     vacuous: bool
 
 
 def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Unit lengths, mutual orthogonality and right-handedness of (T, N, B)
+    on f.valid_interior(); passed when the worst deviation is below tol."""
+    _require_tol("tol", tol)
     mask = f.valid_interior()
     if not np.any(mask):
-        return FrameCheck(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, passed=True, vacuous=True)
+        return FrameCheck(*[0.0] * 8, passed=True, vacuous=True)
     T, N, B = f.T[mask], f.N[mask], f.B[mask]
-
-    def _max(x):
-        return float(np.max(np.abs(x)))
-
-    devs = FrameCheck(
-        norm_T=_max(norm(T) - 1.0),
-        norm_N=_max(norm(N) - 1.0),
-        norm_B=_max(norm(B) - 1.0),
-        dot_TN=_max(np.einsum("ij,ij->i", T, N)),
-        dot_TB=_max(np.einsum("ij,ij->i", T, B)),
-        dot_NB=_max(np.einsum("ij,ij->i", N, B)),
-        handedness=_max(np.einsum("ij,ij->i", cross(T, N), B) - 1.0),
-        passed=False,
-        vacuous=False,
-    )
-    worst = max(
-        devs.norm_T, devs.norm_N, devs.norm_B,
-        devs.dot_TN, devs.dot_TB, devs.dot_NB, devs.handedness,
-    )
-    object.__setattr__(devs, "passed", bool(worst < tol))
-    return devs
-
-
-def frame_orthonormality(f: FrenetData) -> float:
-    """max |G - I| of the Gram matrix G of (T, N, B) over every
-    frenet_valid row, boundary rows included; NaN when no row has a frame."""
-    m = f.frenet_valid
-    if not np.any(m):
-        return float("nan")
-    frames = np.stack([f.T[m], f.N[m], f.B[m]], axis=1)
-    gram = np.einsum("nij,nkj->nik", frames, frames)
-    return float(np.max(np.abs(gram - np.eye(3))))
+    devs = {
+        key: float(np.max(np.abs(x)))
+        for key, x in (
+            ("norm_T", norm(T) - 1.0),
+            ("norm_N", norm(N) - 1.0),
+            ("norm_B", norm(B) - 1.0),
+            ("dot_TN", np.einsum("ij,ij->i", T, N)),
+            ("dot_TB", np.einsum("ij,ij->i", T, B)),
+            ("dot_NB", np.einsum("ij,ij->i", N, B)),
+            ("handedness", np.einsum("ij,ij->i", cross(T, N), B) - 1.0),
+        )
+    }
+    worst = max(devs.values())
+    return FrameCheck(**devs, worst=worst, passed=bool(worst < tol), vacuous=False)
 
 
 @dataclass(frozen=True)
@@ -184,14 +179,12 @@ class ResidualCheck:
     vacuous: bool
 
 
-def frenet_derivative_check(f: FrenetData, tol: float = 1e-4,
-                            margin: int = 2 * BOUNDARY_MARGIN) -> ResidualCheck:
+def frenet_derivative_check(f: FrenetData, tol: float = 1e-4) -> ResidualCheck:
     # The frame fields are themselves finite-difference output, so this
     # second differentiation pass doubles the boundary-contaminated band:
     # stencils that straddle the one-sided rows of the first pass lose an
     # order.  Statistics therefore skip twice the usual margin.
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol("tol", tol)
     speed = f.speed[:, None]
     dT = derivative(VectorSamples(f.grid, f.T), 1).data / speed
     with np.errstate(invalid="ignore"):
@@ -202,7 +195,8 @@ def frenet_derivative_check(f: FrenetData, tol: float = 1e-4,
         rT = norm(dT - k * f.N)
         rN = norm(dN + k * f.T - t * f.B)
         rB = norm(dB + t * f.N)
-    mask = f.valid_interior(margin) & np.isfinite(rT) & np.isfinite(rN) & np.isfinite(rB)
+    mask = f.valid_interior(2 * BOUNDARY_MARGIN)
+    mask &= np.isfinite(rT) & np.isfinite(rN) & np.isfinite(rB)
     if not np.any(mask):
         return ResidualCheck(0.0, 0.0, 0.0, passed=True, vacuous=True)
     res_T = float(np.max(rT[mask]))

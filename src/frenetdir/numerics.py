@@ -62,6 +62,12 @@ class Grid:
         return slice(margin, self.n - margin)
 
 
+def _require_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is not a finite positive number, naming it."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value:g}")
+
+
 def uniform_grid(s_min: float, s_max: float, n: int) -> Grid:
     """Build a uniform grid; n must be odd and at least MIN_SAMPLES."""
     return Grid(float(s_min), float(s_max), int(n))
@@ -256,9 +262,7 @@ def cumulative_integral(f, initial=0.0):
     if isinstance(f, ScalarSamples):
         return ScalarSamples(f.grid, _cumulative_1d(f.data, h, float(initial)))
     if isinstance(f, VectorSamples):
-        init = np.zeros(3) if initial is None else np.asarray(initial, dtype=float)
-        if init.shape == ():
-            init = np.full(3, float(init))
+        init = np.broadcast_to(np.asarray(initial, dtype=float), (3,))
         out = np.empty((f.grid.n, 3))
         for k in range(3):
             out[:, k] = _cumulative_1d(f.data[:, k], h, init[k])

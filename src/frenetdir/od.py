@@ -43,6 +43,7 @@ from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
+    _require_tol,
     cross,
     norm,
 )
@@ -67,6 +68,8 @@ class ODParameters:
     phase_c: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.a, self.b, self.phase_c))):
+            raise ValueError("ODParameters: a, b and phase_c must be finite")
         if self.a == 0.0 or self.b == 0.0:
             raise ValueError("ODParameters: a and b must be nonzero")
 
@@ -98,9 +101,9 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
     """
     if not np.any(f.frenet_valid):
         raise DomainError("modified_darboux: curvature below floor everywhere")
-    # whole-array arithmetic; rows without a frame are overwritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (f.tau / f.kappa)[:, None] * f.T + f.B
+    # NaN on every row without a frame, whatever a hand-built FrenetData
+    # holds there
+    out = f.ratio[:, None] * f.T + f.B
     out[~f.frenet_valid] = np.nan
     return VectorSamples(f.grid, out)
 
@@ -136,8 +139,7 @@ def verify_od_properties(
     Generic: any sampled curve on any regular parameter can be checked;
     the ratio line is fitted against the curve's own arc length.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol("tol", tol)
     g = frenet_apparatus(gamma)
     speed_dev = np.max(np.abs(g.speed[g.grid.interior()] - 1.0))
     rect = rectifying_test(gamma, g, tol)
@@ -147,7 +149,7 @@ def verify_od_properties(
         raise _no_samples("verify_od_properties")
 
     srel = g.s[mask] - g.s[0]
-    fit = _fit_line(srel, g.tau[mask] / g.kappa[mask], "verify_od_properties")
+    fit = _fit_line(srel, g.ratio[mask], "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
 

@@ -9,7 +9,7 @@ to fail) invert the comparison, and each row's passed field already
 accounts for the direction.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,11 @@ from .direction import (
     osculating_coefficients,
     osculating_direction_curve,
 )
-from .frenet import frame_orthonormality, frenet_apparatus, frenet_derivative_check
+from .frenet import frenet_apparatus, frenet_derivative_check, verify_frame
 from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
+    _require_tol,
     cumulative_integral,
     derivative,
     norm,
@@ -38,7 +39,7 @@ from .numerics import (
 )
 from .od import ODParameters, od_osculating_curve, verify_od_properties
 
-__all__ = ["CheckRow", "run_checks", "check_names"]
+__all__ = ["CheckRow", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ _RESOLVABLE = (
 def _property_rows(ctx):
     rows = []
 
-    dev = max(frame_orthonormality(_frenet(ctx, name)) for name in catalog_names())
+    dev = max(verify_frame(_frenet(ctx, name)).worst for name in catalog_names())
     rows.append(_row("props", "orthonormality", dev, 1e-6))
 
     dev = 0.0
@@ -301,31 +302,17 @@ def _property_rows(ctx):
     return rows
 
 
-_BUILDERS = (
-    _constant_rows,
-    _mannheim_rows,
-    _bar_agreement_rows,
-    _round_trip_rows,
-    _sigma_rows,
-    _non_helix_rows,
-    _rectifying_rows,
-    _property_rows,
-)
-
-_CHECK_NAMES = (
-    "constants",
-    "thm3.2",
-    "thm3.3",
-    "thm3.4",
-    "thm4.1",
-    "thm4.2",
-    "thm4.4",
-    "props",
-)
-
-
-def check_names():
-    return list(_CHECK_NAMES)
+# check id -> row builder, in table order
+_BUILDERS = {
+    "constants": _constant_rows,
+    "thm3.2": _mannheim_rows,
+    "thm3.3": _bar_agreement_rows,
+    "thm3.4": _round_trip_rows,
+    "thm4.1": _sigma_rows,
+    "thm4.2": _non_helix_rows,
+    "thm4.4": _rectifying_rows,
+    "props": _property_rows,
+}
 
 
 def run_checks(
@@ -335,20 +322,17 @@ def run_checks(
 ) -> list:
     """Evaluate the verification table, optionally filtered to one check id
     or one curve, optionally with every row's tolerance overridden."""
-    if only is not None and only not in _CHECK_NAMES:
+    if only is not None and only not in _BUILDERS:
         raise ValueError(
-            f"unknown check {only!r}; available: {', '.join(_CHECK_NAMES)}"
+            f"unknown check {only!r}; available: {', '.join(_BUILDERS)}"
         )
-    if tol is not None and not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol is not None:
+        _require_tol("tol", tol)
     ctx = {}
     rows = []
-    for build in _BUILDERS:
-        if only is not None and build is not _BUILDER_BY_NAME[only]:
-            continue
-        rows.extend(build(ctx))
+    for name, build in _BUILDERS.items():
+        if only in (None, name):
+            rows.extend(build(ctx))
     if curve is not None:
         known = {r.curve for r in rows}
         if curve not in known:
@@ -357,15 +341,5 @@ def run_checks(
             )
         rows = [r for r in rows if r.curve == curve]
     if tol is not None:
-        rows = [
-            replace(
-                r,
-                tolerance=tol,
-                passed=r.deviation >= tol if r.exceeds else r.deviation < tol,
-            )
-            for r in rows
-        ]
+        rows = [_row(r.check, r.curve, r.deviation, tol, r.exceeds) for r in rows]
     return rows
-
-
-_BUILDER_BY_NAME = dict(zip(_CHECK_NAMES, _BUILDERS))

@@ -223,6 +223,14 @@ class TestFrenet:
         assert "tau:   mean=0.0295858" in out
         assert "ok" in out
 
+    def test_frame_line_reports_verify_frame(self, capsys):
+        code, out, _ = run(capsys, "frenet", "--curve", "circular_helix")
+        worst = frenetdir.verify_frame(frenetdir.frenet_apparatus(frenetdir.evaluate_catalog("circular_helix"))).worst
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("frame orthonormality"))
+        assert line == f"frame orthonormality: max deviation {worst:.3e} (tol 1e-06) ok"
+        assert float(line.split()[4]) == float(f"{worst:.3e}")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "frenet")
         assert code == 1 and "exactly one of" in err

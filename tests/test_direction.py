@@ -58,7 +58,7 @@ def forced_coefficients(grid, u, v, theta=None):
     th = np.full(n, 0.0 if theta is None else float(theta))
     flags = (np.abs(uu) < DEGENERACY_FLOOR) | (np.abs(vv) < DEGENERACY_FLOOR)
     return DirectionCoefficients(
-        grid=grid, theta=th, u=uu, v=vv, w=np.zeros(n),
+        grid=grid, theta=th, u=uu, v=vv,
         phase_c=float(th[0]), degeneracy_flags=flags,
     )
 
@@ -83,7 +83,7 @@ class TestOsculatingCoefficients:
     def test_coefficients_are_unit_norm(self):
         for name in ("circular_helix", "helix_12_5", "root_curve"):
             f, dc = donor(name)
-            norm = dc.u**2 + dc.v**2 + dc.w**2
+            norm = dc.u**2 + dc.v**2
             assert np.max(np.abs(norm - 1.0)) < 1e-9
 
     def test_degenerate_samples_flagged(self):
@@ -437,7 +437,7 @@ def test_coefficients_unit_norm_any_phase(phase):
     )
     dc = osculating_coefficients(f, phase)
     assert dc.theta[0] == phase
-    assert np.max(np.abs(dc.u**2 + dc.v**2 + dc.w**2 - 1.0)) < 1e-9
+    assert np.max(np.abs(dc.u**2 + dc.v**2 - 1.0)) < 1e-9
 
 
 @settings(max_examples=10, deadline=None)

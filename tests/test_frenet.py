@@ -6,7 +6,6 @@ from frenetdir.errors import DomainError
 from frenetdir.frenet import (
     KAPPA_FLOOR,
     FrenetData,
-    frame_orthonormality,
     frenet_apparatus,
     frenet_derivative_check,
     verify_frame,
@@ -184,6 +183,14 @@ class TestVerifyFrame:
         r = verify_frame(flipped, tol=1e-6)
         assert not r.passed
         assert r.handedness == pytest.approx(2.0, abs=1e-4)
+        assert r.worst == r.handedness
+
+    def test_worst_is_the_largest_deviation(self):
+        _, f = catalog_frenet("circular_helix")
+        r = verify_frame(f, tol=1e-6)
+        fields = (r.norm_T, r.norm_N, r.norm_B, r.dot_TN, r.dot_TB, r.dot_NB, r.handedness)
+        assert r.worst == max(fields)
+        assert not verify_frame(f, tol=r.worst).passed
 
     def test_all_invalid_is_vacuous_pass(self):
         g = uniform_grid(0.0, 5.0, 51)
@@ -192,7 +199,19 @@ class TestVerifyFrame:
         r = verify_frame(f, tol=1e-6)
         assert r.passed
         assert r.vacuous
-        assert np.isnan(frame_orthonormality(f))
+
+
+class TestRatio:
+    def test_masked_division_bit_for_bit(self):
+        _, f = catalog_frenet("circular_helix", n=201)
+        # rows marked invalid by hand keep finite torsion that must not leak
+        valid = f.frenet_valid & (np.arange(f.grid.n) % 7 != 0)
+        f = FrenetData(f.grid, f.T, f.N, f.B, f.kappa, f.tau, valid, f.speed)
+        expected = np.full(f.grid.n, np.nan)
+        expected[valid] = f.tau[valid] / f.kappa[valid]
+        assert np.array_equal(f.ratio, expected, equal_nan=True)
+        assert np.all(np.isnan(f.ratio[~valid])) and np.all(np.isfinite(f.tau[~valid]))
+        assert not f.ratio.flags.writeable
 
 
 class TestDerivativeIdentities:

@@ -1,4 +1,5 @@
-"""Imported-but-unused names in the package, its tests and the demos.
+"""Imported-but-unused names in the package, its tests and the demos, and
+public names that nothing outside the tests uses.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -8,9 +9,12 @@ re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import frenetdir
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -58,3 +62,27 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def loaded_names(source):
+    """Names read (not bound or defined) in a module: bare names and
+    attribute names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_every_export_is_used_outside_tests():
+    # a use inside the package counts, its definition and the export lists
+    # do not; the benchmark, the demos and the README count as words
+    used = set()
+    for path in (ROOT / "src" / "frenetdir").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= loaded_names(path.read_text(encoding="utf-8"))
+    for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]:
+        used |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert [name for name in frenetdir.__all__ if name not in used] == []
