@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from frenetdir.curves import evaluate_catalog, unit_speed_deviation
+from frenetdir.curves import evaluate_catalog
 from frenetdir.direction import (
     direction_field,
     donor_from_direction,
@@ -17,7 +17,7 @@ from frenetdir.direction import (
     compare_predicted,
     predicted_bar_data,
 )
-from frenetdir.frenet import frenet_apparatus
+from frenetdir.frenet import frenet_apparatus, unit_speed_deviation
 from frenetdir.numerics import uniform_grid
 
 PHASE = np.pi / 4
@@ -31,7 +31,7 @@ companion = frenet_apparatus(gamma)
 print("construction")
 print(f"  donor: unit circular helix, kappa = tau = 1/2")
 print(f"  angle: integral of donor curvature, phase {PHASE:.4f}")
-print(f"  companion speed deviation: {unit_speed_deviation(gamma):.2e}")
+print(f"  companion speed deviation: {unit_speed_deviation(companion):.2e}")
 
 print()
 print("curvature split against the closed form")

@@ -27,9 +27,7 @@ from .curves import (
     catalog_names,
     evaluate_catalog,
     load_csv,
-    numerical_speed,
     save_csv,
-    unit_speed_deviation,
 )
 from .direction import (
     AgreementReport,
@@ -56,6 +54,7 @@ from .frenet import (
     ResidualCheck,
     frenet_apparatus,
     frenet_derivative_check,
+    unit_speed_deviation,
     verify_frame,
 )
 from .numerics import (
@@ -123,7 +122,6 @@ __all__ = [
     "load_csv",
     "mannheim_check",
     "modified_darboux",
-    "numerical_speed",
     "od_osculating_curve",
     "osculating_coefficients",
     "osculating_direction_curve",

@@ -19,6 +19,8 @@ from .numerics import (
     BOUNDARY_MARGIN,
     ConstancyReport,
     ScalarSamples,
+    _require_fraction,
+    _require_same_grid,
     _require_tol,
     constancy,
     norm,
@@ -27,6 +29,12 @@ from .numerics import (
 # curvature (line_test) or torsion (plane_test) below this magnitude on
 # every usable sample makes the curve straight or planar
 FLAT_TOL = 1e-6
+
+# statistics of torsion/curvature and its derivative skip rows where the
+# curvature is below this fraction of the curvature/torsion norm: the ratio
+# nears its pole there.  On an osculating-direction curve that fraction is
+# |v| = |cos theta|, so the same floor serves compare_predicted's cos_floor.
+RATIO_FLOOR = 0.05
 
 # a constancy verdict whose level is below this magnitude is the
 # identically-zero case: true as stated but carrying no axis information
@@ -91,7 +99,7 @@ def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
 
 
 def slant_helix_test(
-    f: FrenetData, rel_tol: float = 1e-3, cos_floor: float = 0.05
+    f: FrenetData, rel_tol: float = 1e-3, cos_floor: float = RATIO_FLOOR
 ) -> ConstancyReport:
     """Constancy verdict on the magnitude of the slant-helix invariant.
 
@@ -111,6 +119,7 @@ def slant_helix_test(
     outliers scale with grid resolution.
     """
     _require_tol("rel_tol", rel_tol)
+    _require_fraction("cos_floor", cos_floor)
     sigma = slant_helix_invariant(f).data
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
@@ -172,8 +181,7 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     samples; the fit residual is compared against tol scaled by the fitted
     line's own span, so steep and flat ratios are judged alike.
     """
-    if c.grid != f.grid:
-        raise ValueError(f"grids differ: {c.grid} vs {f.grid}")
+    _require_same_grid(c.grid, f.grid)
     _require_tol("tol", tol)
     mask = f.valid_interior()
     if not np.any(mask):

@@ -33,16 +33,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import verify as verify_suite
-from .classify import classify, slant_helix_test
+from .classify import RATIO_FLOOR, classify, slant_helix_test
 from .curves import (
-    UNIT_SPEED_TOL,
     CurveSamples,
+    _write_rows,
     catalog_entry,
     catalog_names,
     evaluate_catalog,
     load_csv,
     save_csv,
-    unit_speed_deviation,
 )
 from .direction import (
     binormal_direction_curve,
@@ -54,17 +53,9 @@ from .direction import (
     principal_direction_curve,
 )
 from .errors import DomainError, NumericalError
-from .frenet import frenet_apparatus, verify_frame
+from .frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation, verify_frame
 from .numerics import uniform_grid
 from .od import ODParameters, od_osculating_curve, verify_od_properties
-
-# short factual description per catalog entry, shown by `catalog`
-_ABOUT = {
-    "circular_helix": "circular helix with curvature = torsion = 1/2",
-    "helix_12_5": "circular helix with curvature 12/169 and torsion 5/169",
-    "root_curve": "unit-speed curve on (0,1) with curvature = torsion = sqrt(2)/(4 sqrt(s(1-s)))",
-    "spherical_helix": "spherical general helix with torsion = -2 curvature",
-}
 
 # the subcommands that read a curve, with their help lines
 _CURVE_COMMANDS = {
@@ -212,7 +203,7 @@ def _dump_json(payload, path=None):
             fh.write(text + "\n")
 
 
-def _write_curve(c, cfg):
+def _write_curve(c, speed_deviation, cfg):
     if cfg.output is None:
         return
     if cfg.format == "csv":
@@ -224,7 +215,7 @@ def _write_curve(c, cfg):
                 "x": c.points[:, 0],
                 "y": c.points[:, 1],
                 "z": c.points[:, 2],
-                "unit_speed": unit_speed_deviation(c) <= UNIT_SPEED_TOL,
+                "unit_speed": speed_deviation <= UNIT_SPEED_TOL,
             },
             cfg.output,
         )
@@ -247,36 +238,15 @@ def _write_frenet(f, cfg):
             cfg.output,
         )
         return
-    cols = ("s", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz", "kappa", "tau", "valid")
-    with open(cfg.output, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(f.grid.n):
-            values = [
-                f.grid.values[i],
-                *f.T[i],
-                *f.N[i],
-                *f.B[i],
-                f.kappa[i],
-                f.tau[i],
-            ]
-            fh.write(
-                ",".join("%.17g" % v for v in values)
-                + ",%d\n" % int(f.frenet_valid[i])
-            )
+    _write_rows(
+        cfg.output,
+        ("s", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz", "kappa", "tau", "valid"),
+        np.column_stack([f.grid.values, f.T, f.N, f.B, f.kappa, f.tau, f.frenet_valid]),
+    )
 
 
 def cmd_catalog(args):
-    entries = []
-    for name in catalog_names():
-        entry = catalog_entry(name)
-        entries.append(
-            {
-                "name": name,
-                "parameters": entry.parameters,
-                "domain": [entry.domain[0], entry.domain[1]],
-                "about": _ABOUT.get(name, ""),
-            }
-        )
+    entries = [dataclasses.asdict(catalog_entry(name)) for name in catalog_names()]
     if args.json:
         _dump_json(entries)
         return 0
@@ -318,12 +288,13 @@ def cmd_direct(args):
     else:
         gamma = osculating_direction_curve(f, cfg.phase_c)
     print(f"family: {cfg.family}  phase: {cfg.phase_c:g}")
-    print(f"speed deviation: {unit_speed_deviation(gamma):.3e}")
+    g = frenet_apparatus(gamma)
+    speed_deviation = unit_speed_deviation(g)
+    print(f"speed deviation: {speed_deviation:.3e}")
     if cfg.family == "osculating":
         dc = osculating_coefficients(f, cfg.phase_c)
-        g = frenet_apparatus(gamma)
         mann = mannheim_check(g, f)
-        agree = compare_predicted(g, predicted_bar_data(f, dc), dc, cos_floor=0.05)
+        agree = compare_predicted(g, predicted_bar_data(f, dc), dc, cos_floor=RATIO_FLOOR)
         print(f"normal/binormal alignment: min {mann.min_alignment:.6f}"
               f" ({'pass' if mann.passed else 'FAIL'})")
         print(f"predicted curvature/torsion agreement: dev_kappa={agree.dev_kappa:.3e}"
@@ -331,7 +302,7 @@ def cmd_direct(args):
         slant = slant_helix_test(g, rel_tol=cfg.tol_rel)
         print(f"sigma: mean={slant.mean:.6g} rel_variation={slant.rel_variation:.3e}"
               f" constant={'yes' if slant.is_constant else 'no'}")
-    _write_curve(gamma, cfg)
+    _write_curve(gamma, speed_deviation, cfg)
     return 0
 
 
@@ -371,7 +342,7 @@ def cmd_od(args):
           f" intercept error {rep.intercept_error:.3e}")
     print(f"axis alignment: max cross ratio {rep.cross_ratio:.3e}")
     print(f"all checks passed: {'yes' if rep.passed else 'no'} (tol {cfg.tol_od:g})")
-    _write_curve(gamma, cfg)
+    _write_curve(gamma, rep.speed_deviation, cfg)
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Sampled space curves: the built-in catalog, CSV I/O, speed
-measurements, and an arc-length resampling utility.
+"""Sampled space curves: the built-in catalog, CSV I/O, and an arc-length
+resampling utility.
 
 Catalog curves are evaluated from closed-form expressions already in an
 arc-length parametrization, so downstream differentiation sees exact
@@ -25,9 +25,6 @@ from .numerics import (
     uniform_grid,
 )
 
-# numerical-speed band accepted as unit speed at interior samples
-UNIT_SPEED_TOL = 1e-4
-
 # at or below this numerical speed a curve counts as degenerate
 SPEED_FLOOR = 1e-9
 
@@ -36,9 +33,9 @@ SPEED_FLOOR = 1e-9
 class CurveSamples:
     """A space curve sampled on a uniform grid in any regular parameter.
 
-    Whether that parameter is arc length is a measurement
-    (unit_speed_deviation), not part of the samples.  Non-finite points
-    raise DomainError naming the first such sample.
+    Whether that parameter is arc length is a measurement on the curve's
+    FrenetData (frenet.unit_speed_deviation), not part of the samples.
+    Non-finite points raise DomainError naming the first such sample.
     """
 
     grid: Grid
@@ -59,6 +56,7 @@ class CatalogEntry:
     name: str
     parameters: dict
     domain: tuple
+    about: str
 
 
 def _helix_domain(params):
@@ -118,6 +116,7 @@ def _sph_points(params, s):
 
 _CATALOG = {
     "circular_helix": {
+        "about": "circular helix with curvature = torsion = 1/2",
         "defaults": {"a": 1.0, "b": 1.0, "scale": 1.0},
         "validate": _helix_validate,
         "domain": _helix_domain,
@@ -125,6 +124,7 @@ _CATALOG = {
         "points": _helix_points,
     },
     "helix_12_5": {
+        "about": "circular helix with curvature 12/169 and torsion 5/169",
         "defaults": {},
         "validate": lambda params: None,
         "domain": lambda params: (0.0, 169.0),
@@ -132,6 +132,7 @@ _CATALOG = {
         "points": _helix12_points,
     },
     "root_curve": {
+        "about": "unit-speed curve on (0,1) with curvature = torsion = sqrt(2)/(4 sqrt(s(1-s)))",
         "defaults": {},
         "validate": lambda params: None,
         "domain": lambda params: (_ROOT_EPS, 1.0 - _ROOT_EPS),
@@ -139,6 +140,7 @@ _CATALOG = {
         "points": _root_points,
     },
     "spherical_helix": {
+        "about": "spherical general helix with torsion = -2 curvature",
         "defaults": {"c": 2.0},
         "validate": _sph_validate,
         "domain": lambda params: (-_sph_bound(params), _sph_bound(params)),
@@ -165,7 +167,7 @@ def catalog_entry(name: str, parameters=None) -> CatalogEntry:
         if not isfinite(params[key]):
             raise ValueError(f"{name} parameter {key!r} must be finite, got {value!r}")
     spec_["validate"](params)
-    return CatalogEntry(name=name, parameters=params, domain=spec_["domain"](params))
+    return CatalogEntry(name, params, spec_["domain"](params), spec_["about"])
 
 
 def default_grid(entry: CatalogEntry, n: int = 2001) -> Grid:
@@ -185,18 +187,6 @@ def evaluate_catalog(name: str, parameters=None, grid: Grid = None) -> CurveSamp
         raise DomainError(f"grid s_max={grid.s_max:g} above {name} domain bound {hi:g}")
     points = _CATALOG[name]["points"](entry.parameters, grid.values)
     return CurveSamples(grid=grid, points=points)
-
-
-def numerical_speed(c: CurveSamples) -> ScalarSamples:
-    """Norm of the numerical first derivative of the points."""
-    d1 = derivative(VectorSamples(c.grid, c.points), 1)
-    return ScalarSamples(c.grid, norm(d1.data))
-
-
-def unit_speed_deviation(c: CurveSamples) -> float:
-    """max |speed - 1| over interior samples (boundary stencils excluded),
-    the speed measured against the grid parameter."""
-    return float(np.max(np.abs(numerical_speed(c).data[c.grid.interior()] - 1.0)))
 
 
 def load_csv(path) -> CurveSamples:
@@ -253,14 +243,20 @@ def load_csv(path) -> CurveSamples:
     return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data)
 
 
-def save_csv(c: CurveSamples, path) -> None:
-    """Write `s,x,y,z` rows at 17 significant digits (lossless for doubles);
-    s is the grid parameter, arc length only for a unit-speed curve."""
-    s = c.grid.values
+def _write_rows(path, header, table: np.ndarray) -> None:
+    """Write a CSV with one header line and one row per line of `table`,
+    every number at 17 significant digits (lossless for doubles; a 0/1
+    flag prints as 0 or 1)."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("s,x,y,z\n")
-        for i in range(c.grid.n):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (s[i], c.points[i, 0], c.points[i, 1], c.points[i, 2]))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
+
+
+def save_csv(c: CurveSamples, path) -> None:
+    """Write `s,x,y,z` rows; s is the grid parameter, arc length only for
+    a unit-speed curve."""
+    _write_rows(path, ("s", "x", "y", "z"), np.column_stack([c.grid.values, c.points]))
 
 
 def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
@@ -274,14 +270,14 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
     """
     from scipy.interpolate import CubicSpline, PchipInterpolator
 
-    speed = numerical_speed(c)
-    if np.min(speed.data) <= SPEED_FLOOR:
-        i = int(np.argmin(speed.data))
+    speed = norm(derivative(VectorSamples(c.grid, c.points), 1).data)
+    if np.min(speed) <= SPEED_FLOOR:
+        i = int(np.argmin(speed))
         raise DomainError(
-            f"degenerate curve: speed {speed.data[i]:.3g} at parameter {c.grid.values[i]:g} "
+            f"degenerate curve: speed {speed[i]:.3g} at parameter {c.grid.values[i]:g} "
             f"is below the {SPEED_FLOOR:g} floor"
         )
-    arc = cumulative_integral(speed).data
+    arc = cumulative_integral(ScalarSamples(c.grid, speed)).data
     if np.any(np.diff(arc) <= 0):
         raise DomainError("degenerate curve: arc length is not strictly increasing")
     total = float(arc[-1])

@@ -21,6 +21,8 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _require_fraction,
+    _require_same_grid,
     _require_tol,
     cumulative_integral,
     norm,
@@ -49,11 +51,6 @@ def _require_valid(f: FrenetData, who: str) -> None:
         raise DomainError(
             f"{who}: donor frame undefined (curvature below floor) on {_runs_to_intervals(f.grid, bad)}"
         )
-
-
-def _require_same_grid(a: Grid, b: Grid) -> None:
-    if a != b:
-        raise ValueError(f"grids differ: {a} vs {b}")
 
 
 @dataclass(frozen=True)
@@ -181,15 +178,15 @@ def compare_predicted(
     Numerical curvature is nonnegative, so it is checked against the
     magnitude of the signed prediction; the torsion prediction needs no
     sign adjustment (both signed quantities flip together through a
-    curvature zero).  cos_floor > 0 additionally excludes samples where
-    |v| is small and the curvature denominator amplifies grid error.
+    curvature zero).  Samples where |v| is at or below cos_floor, in
+    [0, 1), are excluded: there the curvature denominator amplifies grid
+    error.
     """
     _require_same_grid(g.grid, pb.grid)
     _require_same_grid(g.grid, dc.grid)
     _require_tol("atol", atol)
-    mask = g.valid_interior() & ~dc.degeneracy_flags
-    if cos_floor > 0.0:
-        mask &= np.abs(dc.v) > cos_floor
+    _require_fraction("cos_floor", cos_floor)
+    mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
     if not np.any(mask):
         return AgreementReport(np.nan, np.nan, 0, passed=False)
     dev_k = float(np.max(np.abs(g.kappa[mask] - np.abs(pb.kappa_bar_signed[mask]))))

@@ -33,6 +33,9 @@ from .numerics import (
 
 KAPPA_FLOOR = 1e-9
 
+# band of max |speed - 1| over interior samples accepted as unit speed
+UNIT_SPEED_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class FrenetData:
@@ -73,8 +76,11 @@ class FrenetData:
         return out
 
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
-        """Arc-length derivative (1/speed) d/dt of per-sample values."""
-        return derivative(ScalarSamples(self.grid, values), 1).data / self.speed
+        """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)
+        or vectors (n, 3)."""
+        if values.ndim == 1:
+            return derivative(ScalarSamples(self.grid, values), 1).data / self.speed
+        return derivative(VectorSamples(self.grid, values), 1).data / self.speed[:, None]
 
     def valid_interior(self, margin: int = BOUNDARY_MARGIN) -> np.ndarray:
         """Boolean mask: frenet_valid and clear of the boundary margin."""
@@ -120,6 +126,12 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     tau[~valid] = np.nan
 
     return FrenetData(c.grid, T, N, B, kappa, tau, valid, speed)
+
+
+def unit_speed_deviation(f: FrenetData) -> float:
+    """max |speed - 1| over interior samples (boundary stencils excluded),
+    the speed measured against the grid parameter."""
+    return float(np.max(np.abs(f.speed[f.grid.interior()] - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -185,11 +197,10 @@ def frenet_derivative_check(f: FrenetData, tol: float = 1e-4) -> ResidualCheck:
     # stencils that straddle the one-sided rows of the first pass lose an
     # order.  Statistics therefore skip twice the usual margin.
     _require_tol("tol", tol)
-    speed = f.speed[:, None]
-    dT = derivative(VectorSamples(f.grid, f.T), 1).data / speed
+    dT = f._d_ds(f.T)
     with np.errstate(invalid="ignore"):
-        dN = derivative(VectorSamples(f.grid, f.N), 1).data / speed
-        dB = derivative(VectorSamples(f.grid, f.B), 1).data / speed
+        dN = f._d_ds(f.N)
+        dB = f._d_ds(f.B)
         k = f.kappa[:, None]
         t = f.tau[:, None]
         rT = norm(dT - k * f.N)

@@ -68,6 +68,17 @@ def _require_tol(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value:g}")
 
 
+def _require_fraction(name: str, value: float) -> None:
+    """Reject a value outside [0, 1), NaN included, naming it."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {value:g}")
+
+
+def _require_same_grid(a: Grid, b: Grid) -> None:
+    if a != b:
+        raise ValueError(f"grids differ: {a} vs {b}")
+
+
 def uniform_grid(s_min: float, s_max: float, n: int) -> Grid:
     """Build a uniform grid; n must be odd and at least MIN_SAMPLES."""
     return Grid(float(s_min), float(s_max), int(n))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
+    RATIO_FLOOR,
     LineFit,
     RectifyingReport,
     _fit_line,
@@ -39,7 +40,7 @@ from .classify import (
 from .curves import CurveSamples
 from .direction import _require_valid, osculating_coefficients
 from .errors import DomainError
-from .frenet import FrenetData, frenet_apparatus
+from .frenet import FrenetData, frenet_apparatus, unit_speed_deviation
 from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
@@ -47,11 +48,6 @@ from .numerics import (
     cross,
     norm,
 )
-
-# ratio and cross-product statistics skip samples where curvature is this
-# small relative to the curvature/torsion norm; the torsion estimate loses
-# accuracy as its denominator shrinks (same threshold classify uses)
-RATIO_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,13 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
 class ODReport:
     """Measured distance from the three companion-curve properties.
 
-    speed_deviation is max |speed - 1| of the input samples over interior
-    rows, against the grid parameter (unit_speed_deviation).  ratio_fit is
-    the least-squares line of torsion/curvature against arc length from
-    the first sample; slope_error and intercept_error compare it with the
-    predicted (s + b)/a.  cross_ratio is the worst normalized cross
-    product between the position and the modified Darboux vector (0 for
-    parallel, 1 for perpendicular).
+    speed_deviation is unit_speed_deviation of the input's FrenetData:
+    max |speed - 1| over interior rows, against the grid parameter.
+    ratio_fit is the least-squares line of torsion/curvature against arc
+    length from the first sample; slope_error and intercept_error compare
+    it with the predicted (s + b)/a.  cross_ratio is the worst normalized
+    cross product between the position and the modified Darboux vector (0
+    for parallel, 1 for perpendicular).
     """
 
     speed_deviation: float
@@ -141,7 +137,6 @@ def verify_od_properties(
     """
     _require_tol("tol", tol)
     g = frenet_apparatus(gamma)
-    speed_dev = np.max(np.abs(g.speed[g.grid.interior()] - 1.0))
     rect = rectifying_test(gamma, g, tol)
 
     mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
@@ -167,7 +162,7 @@ def verify_od_properties(
         and cross_ratio < tol
     )
     return ODReport(
-        speed_deviation=float(speed_dev),
+        speed_deviation=unit_speed_deviation(g),
         rectifying=rect,
         ratio_fit=fit,
         slope_error=slope_error,

@@ -320,6 +320,15 @@ class TestDirect:
         assert path.read_text().splitlines()[0] == "s,x,y,z"
         assert "speed deviation" in out
 
+    def test_json_output_reports_unit_speed(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        code, _, _ = run(
+            capsys, "direct", "--curve", "circular_helix", "--format", "json",
+            "--output", str(path),
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["unit_speed"] is True
+
 
 class TestClassify:
     def test_general_helix_verdict(self, capsys):
@@ -400,6 +409,18 @@ class TestOd:
         assert run(capsys, *args, "--output", str(a))[0] == 0
         assert run(capsys, *args, "--output", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_output_reports_measured_speed(self, tmp_path, capsys):
+        # the generic donor gives a companion far from unit speed; the file
+        # flag agrees with the printed deviation
+        path = tmp_path / "od.json"
+        code, out, _ = run(
+            capsys, "od", "--curve", "circular_helix", "--format", "json",
+            "--output", str(path),
+        )
+        assert code == 0
+        assert "unit speed: no (max deviation 5.852e+00)" in out
+        assert json.loads(path.read_text())["unit_speed"] is False
 
 
 class TestVerify:

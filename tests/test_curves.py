@@ -8,7 +8,6 @@ import pytest
 
 import frenetdir
 from frenetdir.curves import (
-    UNIT_SPEED_TOL,
     CurveSamples,
     arclength_reparametrize,
     catalog_entry,
@@ -16,11 +15,10 @@ from frenetdir.curves import (
     default_grid,
     evaluate_catalog,
     load_csv,
-    numerical_speed,
     save_csv,
-    unit_speed_deviation,
 )
 from frenetdir.errors import DomainError
+from frenetdir.frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation
 from frenetdir.numerics import uniform_grid
 
 
@@ -107,7 +105,7 @@ class TestEvaluateCatalog:
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5", "root_curve", "spherical_helix"])
     def test_unit_speed_on_default_domain(self, name):
         c = evaluate_catalog(name, grid=default_grid(catalog_entry(name), n=2001))
-        assert unit_speed_deviation(c) < 1e-4
+        assert unit_speed_deviation(frenet_apparatus(c)) < 1e-4
 
     def test_spherical_lies_on_a_sphere(self):
         # the trace sits on a sphere centered at the origin
@@ -124,7 +122,7 @@ class TestCsvRoundTrip:
         back = load_csv(p)
         assert back.grid == c.grid
         assert np.array_equal(back.points, c.points)
-        assert unit_speed_deviation(back) <= UNIT_SPEED_TOL
+        assert unit_speed_deviation(frenet_apparatus(back)) <= UNIT_SPEED_TOL
 
     def test_file_line_count(self, tmp_path):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.0, 9))
@@ -193,7 +191,7 @@ class TestCsvRoundTrip:
         p = tmp_path / "nonuni.csv"
         p.write_text("s,x,y,z\n" + "".join(f"{v},{v},0,0\n" for v in s), encoding="utf-8")
         c = load_csv(p)
-        assert unit_speed_deviation(c) > UNIT_SPEED_TOL
+        assert unit_speed_deviation(frenet_apparatus(c)) > UNIT_SPEED_TOL
         assert c.grid.s_max == 8.0
 
 
@@ -201,7 +199,7 @@ class TestArclengthReparametrize:
     def test_unit_speed_curve_is_fixed_point(self):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 4 * np.pi, 401))
         r = arclength_reparametrize(c, 401)
-        assert unit_speed_deviation(r) <= UNIT_SPEED_TOL
+        assert unit_speed_deviation(frenet_apparatus(r)) <= UNIT_SPEED_TOL
         assert np.max(np.abs(r.points - c.points)) < 1e-6
 
     def test_straight_segment(self):
@@ -225,7 +223,7 @@ class TestArclengthReparametrize:
         r2 = np.sqrt(2.0)
         pts = np.stack([np.cos(t / r2), np.sin(t / r2), t / r2], axis=1)
         r = arclength_reparametrize(CurveSamples(g, pts), 801)
-        assert unit_speed_deviation(r) < 1e-4
+        assert unit_speed_deviation(frenet_apparatus(r)) < 1e-4
 
     def test_idempotent(self):
         g = uniform_grid(0.0, 1.0, 401)
@@ -251,7 +249,7 @@ class TestArclengthReparametrize:
 def test_numerical_speed_of_catalog_curves_near_one():
     for name in catalog_names():
         c = evaluate_catalog(name)
-        sp = numerical_speed(c).data[c.grid.interior()]
+        sp = frenet_apparatus(c).speed[c.grid.interior()]
         assert np.max(np.abs(sp - 1.0)) < 1e-4, name
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetdir.curves import UNIT_SPEED_TOL, CurveSamples, evaluate_catalog, unit_speed_deviation
+from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     DEGENERACY_FLOOR,
     DirectionCoefficients,
@@ -19,7 +19,13 @@ from frenetdir.direction import (
     principal_direction_curve,
 )
 from frenetdir.errors import DomainError
-from frenetdir.frenet import KAPPA_FLOOR, FrenetData, frenet_apparatus
+from frenetdir.frenet import (
+    KAPPA_FLOOR,
+    UNIT_SPEED_TOL,
+    FrenetData,
+    frenet_apparatus,
+    unit_speed_deviation,
+)
 from frenetdir.numerics import VectorSamples, uniform_grid
 
 from oracles import warped_helix
@@ -148,7 +154,7 @@ class TestIntegrateDirectionCurve:
         gamma = integrate_direction_curve(X)
         expect = np.stack([g.values, np.zeros(g.n), np.zeros(g.n)], axis=1)
         assert np.allclose(gamma.points, expect, atol=1e-12)
-        assert unit_speed_deviation(gamma) <= UNIT_SPEED_TOL
+        assert unit_speed_deviation(frenet_apparatus(gamma)) <= UNIT_SPEED_TOL
 
     def test_start_point_offsets_curve(self):
         g = uniform_grid(0.0, 1.0, 101)
@@ -171,7 +177,7 @@ class TestIntegrateDirectionCurve:
         for name in ("circular_helix", "helix_12_5"):
             f, dc = donor(name)
             gamma = integrate_direction_curve(direction_field(f, dc))
-            assert unit_speed_deviation(gamma) < 1e-6
+            assert unit_speed_deviation(frenet_apparatus(gamma)) < 1e-6
 
     def test_non_unit_field_rejected(self):
         g = uniform_grid(0.0, 1.0, 101)
@@ -208,8 +214,8 @@ class TestPrincipalAndBinormal:
     def test_speed_one_on_helix_donors(self):
         for name in ("circular_helix", "helix_12_5"):
             f = frenet_apparatus(evaluate_catalog(name))
-            assert unit_speed_deviation(principal_direction_curve(f)) < 1e-6
-            assert unit_speed_deviation(binormal_direction_curve(f)) < 1e-6
+            assert unit_speed_deviation(frenet_apparatus(principal_direction_curve(f))) < 1e-6
+            assert unit_speed_deviation(frenet_apparatus(binormal_direction_curve(f))) < 1e-6
 
     def test_straight_donor_rejected(self):
         f = straight_line()
@@ -447,4 +453,4 @@ def test_construction_is_unit_speed_any_phase(phase):
         evaluate_catalog("helix_12_5", grid=uniform_grid(0.0, 169.0, 401))
     )
     gamma = osculating_direction_curve(f, phase)
-    assert unit_speed_deviation(gamma) < 1e-6
+    assert unit_speed_deviation(frenet_apparatus(gamma)) < 1e-6

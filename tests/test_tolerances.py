@@ -1,5 +1,6 @@
-"""Every public tolerance must be a finite positive number; anything else is
-a ValueError naming the parameter, never a silent verdict."""
+"""Every public tolerance must be a finite positive number, and every
+cos_floor a fraction in [0, 1); anything else is a ValueError naming the
+parameter, never a silent verdict."""
 
 import numpy as np
 import pytest
@@ -64,6 +65,8 @@ def calls():
         "compare_predicted": lambda t: compare_predicted(g, pb, dc, atol=t),
         "verify_od_properties": lambda t: verify_od_properties(gamma, p, tol=t),
         "run_checks": lambda t: run_checks(only="constants", tol=t),
+        "slant_helix_test.cos_floor": lambda x: slant_helix_test(g, cos_floor=x),
+        "compare_predicted.cos_floor": lambda x: compare_predicted(g, pb, dc, cos_floor=x),
     }
 
 
@@ -72,6 +75,14 @@ def calls():
 def test_bad_tolerance_rejected_naming_it(calls, entry, bad):
     with pytest.raises(ValueError, match=f"^{ENTRY_POINTS[entry]} must be finite and positive"):
         calls[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.0, 2.0], ids=str)
+@pytest.mark.parametrize("entry", ["slant_helix_test", "compare_predicted"])
+def test_bad_cos_floor_rejected_naming_it(calls, entry, bad):
+    # cos_floor is a fraction of the curvature/torsion norm, valid on [0, 1)
+    with pytest.raises(ValueError, match="^cos_floor must lie in"):
+        calls[entry + ".cos_floor"](bad)
 
 
 @pytest.mark.parametrize("a, b, phase_c", [(np.nan, 1.0, 0.0), (1.0, np.inf, 0.0), (1.0, 1.0, np.nan)])
