@@ -295,8 +295,11 @@ def cmd_direct(args):
         dc = osculating_coefficients(f, cfg.phase_c)
         mann = mannheim_check(g, f)
         agree = compare_predicted(g, predicted_bar_data(f, dc), dc, cos_floor=RATIO_FLOOR)
-        print(f"normal/binormal alignment: min {mann.min_alignment:.6f}"
-              f" ({'pass' if mann.passed else 'FAIL'})")
+        if mann.vacuous:
+            print("normal/binormal alignment: no rows checked")
+        else:
+            print(f"normal/binormal alignment: min {mann.min_alignment:.6f}"
+                  f" ({'pass' if mann.passed else 'FAIL'})")
         print(f"predicted curvature/torsion agreement: dev_kappa={agree.dev_kappa:.3e}"
               f" dev_tau={agree.dev_tau:.3e} ({'pass' if agree.passed else 'FAIL'})")
         slant = slant_helix_test(g, rel_tol=cfg.tol_rel)

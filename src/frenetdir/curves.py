@@ -36,18 +36,23 @@ class CurveSamples:
     Whether that parameter is arc length is a measurement on the curve's
     FrenetData (frenet.unit_speed_deviation), not part of the samples.
     Non-finite points raise DomainError naming the first such sample.
+
+    points is the curve's own read-only copy of the samples, so later
+    writes to the caller's array cannot change the curve, nor the Frenet
+    apparatus that frenet_apparatus computes once per curve and keeps.
     """
 
     grid: Grid
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.shape != (self.grid.n, 3):
             raise ValueError(f"points shape {pts.shape} does not match grid n={self.grid.n}")
         if not np.isfinite(pts).all():
             i = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise DomainError(f"non-finite point at sample {i} (s={self.grid.values[i]:g})")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
 

@@ -50,6 +50,10 @@ class FrenetData:
     the same truncation order but carry roundoff of order
     sum|w| * ulp(|p|) / h^k, which for tau (k = 3) is far above the
     interior error on fine grids of curves far from the origin.
+
+    frenet_apparatus builds one FrenetData per curve instance and hands the
+    same object to every later caller, so its arrays (the cached s and
+    ratio included) are read-only.
     """
 
     grid: Grid
@@ -63,8 +67,11 @@ class FrenetData:
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Arc length at each sample: the cumulative integral of speed."""
-        return cumulative_integral(ScalarSamples(self.grid, self.speed), self.grid.s_min).data
+        """Arc length at each sample: the cumulative integral of speed.
+        Computed once and shared, so it is read-only."""
+        out = cumulative_integral(ScalarSamples(self.grid, self.speed), self.grid.s_min).data
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def ratio(self) -> np.ndarray:
@@ -97,7 +104,13 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     and torsion from the third derivative projected on it.  Every row is
     filled, but accuracy holds on FrenetData.valid_interior() only.  A
     speed at or below SPEED_FLOOR (a stalled sample) raises DomainError.
+
+    One frame per curve: the result is stored on the curve instance and
+    returned as is by every later call on it.  Its arrays are read-only,
+    as is CurveSamples.points, so the stored frame cannot go stale.
     """
+    if "_frenet" in c.__dict__:
+        return c.__dict__["_frenet"]
     pts = VectorSamples(c.grid, c.points)
     d1 = derivative(pts, 1).data
     d2 = derivative(pts, 2).data
@@ -124,8 +137,12 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     B[~valid] = np.nan
     N[~valid] = np.nan
     tau[~valid] = np.nan
+    for a in (T, N, B, kappa, tau, valid, speed):
+        a.flags.writeable = False
 
-    return FrenetData(c.grid, T, N, B, kappa, tau, valid, speed)
+    # a frozen dataclass still lets its instance __dict__ take the memo
+    c.__dict__["_frenet"] = f = FrenetData(c.grid, T, N, B, kappa, tau, valid, speed)
+    return f
 
 
 def unit_speed_deviation(f: FrenetData) -> float:

@@ -67,12 +67,17 @@ def _row(check, curve, deviation, tolerance, exceeds=False, passed=None):
     )
 
 
-def _frenet(ctx, name, lo=None, hi=None, n=2001):
+def _curve(ctx, name, lo=None, hi=None, n=2001):
     key = (name, lo, hi, n)
     if key not in ctx:
         grid = None if lo is None else uniform_grid(lo, hi, n)
-        ctx[key] = frenet_apparatus(evaluate_catalog(name, grid=grid))
+        ctx[key] = evaluate_catalog(name, grid=grid)
     return ctx[key]
+
+
+def _frenet(ctx, name, lo=None, hi=None, n=2001):
+    # computed once per cached curve, on the curve itself
+    return frenet_apparatus(_curve(ctx, name, lo, hi, n))
 
 
 def _pair(ctx, name, phase, lo=None, hi=None, n=2001):
@@ -201,7 +206,7 @@ def _rectifying_rows(ctx):
             rep.cross_ratio,
         )
         rows.append(_row("thm4.4", name, dev, 2e-2, passed=rep.passed))
-    plain = verify_od_properties(evaluate_catalog("circular_helix"), p)
+    plain = verify_od_properties(_curve(ctx, "circular_helix"), p)
     rows.append(
         _row(
             "thm4.4",
@@ -275,7 +280,7 @@ def _property_rows(ctx):
     dev = 0.0
     flags_equal = True
     for name in ("circular_helix", "helix_12_5"):
-        c = evaluate_catalog(name)
+        c = _curve(ctx, name)
         moved = CurveSamples(c.grid, c.points @ q.T + shift)
         base, rep = classify(c), classify(moved)
         flags_equal &= (

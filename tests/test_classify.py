@@ -1,9 +1,13 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetdir.classify import (
+    _fit_line,
     classify,
     general_helix_test,
     line_test,
@@ -16,6 +20,7 @@ from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import osculating_direction_curve
 from frenetdir.errors import DomainError
 from frenetdir.frenet import frenet_apparatus
+from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
@@ -300,6 +305,58 @@ class TestClassify:
         pts[500, 1] = np.nan
         with pytest.raises(DomainError, match=r"non-finite point at sample 500 \(s=3\.14159\)"):
             classify(CurveSamples(c.grid, pts))
+
+
+# the verify table's windows: root_curve and spherical_helix are trimmed
+# away from their curvature singularities
+VERIFY_WINDOWS = (
+    ("circular_helix", None, None),
+    ("helix_12_5", None, None),
+    ("root_curve", 0.05, 0.95),
+    ("spherical_helix", -0.49, 0.49),
+)
+
+
+class TestFitLine:
+    @pytest.mark.parametrize("name, lo, hi", VERIFY_WINDOWS)
+    def test_matches_polyfit_on_report_rows(self, name, lo, hi, monkeypatch):
+        # record the (s, ratio) rows that rectifying_test and
+        # verify_od_properties fit, on the curve and on its companion
+        rows = []
+
+        def recording(s, ratio, who):
+            rows.append((s, ratio, who))
+            return _fit_line(s, ratio, who)
+
+        # the package exports a classify function under the module's name
+        for module in ("frenetdir.classify", "frenetdir.od"):
+            monkeypatch.setattr(importlib.import_module(module), "_fit_line", recording)
+        c = evaluate_catalog(name, grid=None if lo is None else uniform_grid(lo, hi, 2001))
+        f = frenet_apparatus(c)
+        p = ODParameters(1.0, 1.0)
+        rectifying_test(c, f)
+        verify_od_properties(c, p)
+        verify_od_properties(od_osculating_curve(f, p), p)
+        assert [who for *_, who in rows] == [
+            "rectifying_test", "rectifying_test", "verify_od_properties",
+            "rectifying_test", "verify_od_properties",
+        ]
+        for s, ratio, who in rows:
+            fit = _fit_line(s, ratio, who)
+            slope, intercept = np.polyfit(s, ratio, 1)
+            assert abs(fit.slope - slope) < 1e-12, who
+            assert abs(fit.intercept - intercept) < 1e-12, who
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 169.0])
+    def test_equal_s_values_raise_without_warnings(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="probe: a line fit needs distinct"):
+                _fit_line(np.full(7, value), np.arange(7.0), "probe")
+
+    def test_two_samples_are_enough(self):
+        fit = _fit_line(np.array([1.0, 3.0]), np.array([2.0, 6.0]), "probe")
+        assert (fit.slope, fit.intercept, fit.max_residual) == (2.0, 0.0, 0.0)
 
 
 def theorem_pairs():

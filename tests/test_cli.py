@@ -310,6 +310,22 @@ class TestDirect:
         assert code == 2
         assert "curvature below floor" in err
 
+    def test_vacuous_alignment_says_no_rows_checked(self, tmp_path, capsys):
+        # the principal direction curve of a circular helix is a plane
+        # circle, whose osculating direction curve at phase 0 is straight:
+        # no row has a normal to hold against the donor binormal
+        path = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys, "direct", "--curve", "helix_12_5", "--family", "principal",
+            "--output", str(path),
+        )
+        assert code == 0
+        code, out, err = run(capsys, "direct", "--input", str(path))
+        assert "normal/binormal alignment: no rows checked\n" in out
+        assert "nan" not in out
+        assert code == 2
+        assert "slant_helix_test: no usable samples" in err
+
     def test_binormal_family_writes_curve(self, tmp_path, capsys):
         path = tmp_path / "b.csv"
         code, out, _ = run(

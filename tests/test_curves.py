@@ -114,6 +114,26 @@ class TestEvaluateCatalog:
         assert np.max(np.abs(r - r[0])) < 1e-12
 
 
+class TestPointsCopy:
+    def test_points_are_a_read_only_copy(self):
+        g = uniform_grid(0.0, 1.0, 9)
+        pts = np.stack([g.values, g.values**2, g.values**3], axis=1)
+        c = CurveSamples(g, pts)
+        assert c.points is not pts
+        assert not c.points.flags.writeable
+        assert pts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.points[0, 0] = 1.0
+
+    def test_later_writes_to_the_source_do_not_reach_the_curve(self):
+        g = uniform_grid(0.0, 1.0, 9)
+        pts = np.stack([g.values, g.values**2, g.values**3], axis=1)
+        c = CurveSamples(g, pts)
+        kept = pts.copy()
+        pts[4] = np.nan
+        assert np.array_equal(c.points, kept)
+
+
 class TestCsvRoundTrip:
     def test_round_trip_bit_identical(self, tmp_path):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 4 * np.pi, 201))

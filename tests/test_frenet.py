@@ -1,6 +1,11 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
+from frenetdir import frenet
+from frenetdir.classify import classify
 from frenetdir.curves import CurveSamples, catalog_names, evaluate_catalog
 from frenetdir.errors import DomainError
 from frenetdir.frenet import (
@@ -212,6 +217,46 @@ class TestRatio:
         assert np.array_equal(f.ratio, expected, equal_nan=True)
         assert np.all(np.isnan(f.ratio[~valid])) and np.all(np.isfinite(f.tau[~valid]))
         assert not f.ratio.flags.writeable
+
+
+class TestOneFramePerCurve:
+    def test_second_call_returns_the_stored_frame(self):
+        c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 4 * np.pi, 201))
+        assert frenet_apparatus(c) is frenet_apparatus(c)
+
+    def test_every_array_is_read_only(self):
+        _, f = catalog_frenet("helix_12_5", n=201)
+        arrays = {fld.name: getattr(f, fld.name) for fld in dataclasses.fields(f)}
+        arrays = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
+        arrays.update(s=f.s, ratio=f.ratio)
+        assert sorted(arrays) == ["B", "N", "T", "frenet_valid", "kappa", "ratio", "s", "speed", "tau"]
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            f.kappa[0] = 0.0
+
+    def test_writes_to_the_source_array_leave_the_frame_alone(self):
+        g = uniform_grid(0.0, 4 * np.pi, 201)
+        pts = evaluate_catalog("circular_helix", grid=g).points.copy()
+        c = CurveSamples(g, pts)
+        before = frenet_apparatus(c).kappa.copy()
+        pts[:] = 2.0 * pts
+        f = frenet_apparatus(c)
+        assert np.array_equal(f.kappa, before)
+        assert np.array_equal(f.kappa, frenet_apparatus(CurveSamples(g, 0.5 * pts)).kappa)
+
+    def test_classify_reuses_the_callers_frame(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(samples, order):
+            calls[order] += 1
+            return derivative(samples, order)
+
+        monkeypatch.setattr(frenet, "derivative", counted)
+        c = evaluate_catalog("circular_helix")
+        frenet_apparatus(c)
+        classify(c)
+        assert calls == {1: 1, 2: 1, 3: 1}
 
 
 class TestArcLengthDerivative:
