@@ -22,6 +22,7 @@ from .numerics import (
     _require_fraction,
     _require_same_grid,
     _require_tol,
+    _rows,
     constancy,
     norm,
 )
@@ -81,7 +82,7 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("general_helix_test")
-    return _constancy_or_zero(f.ratio[mask], rel_tol)
+    return _constancy_or_zero(f.ratio[_rows(mask)], rel_tol)
 
 
 def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
@@ -142,7 +143,7 @@ def plane_test(f: FrenetData) -> bool:
     mask = f.valid_interior()
     if not np.any(mask):
         return False
-    return bool(np.max(np.abs(f.tau[mask])) < FLAT_TOL)
+    return bool(np.max(np.abs(f.tau[_rows(mask)])) < FLAT_TOL)
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,14 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("rectifying_test")
-    pts = c.points[mask]
-    normal = float(np.max(np.abs(np.einsum("ij,ij->i", pts, f.N[mask]))))
+    rows = _rows(mask)
+    pts = c.points[rows]
+    normal = float(np.max(np.abs(np.einsum("ij,ij->i", pts, f.N[rows]))))
     scale = float(np.max(norm(pts)))
     normal_component = normal / max(scale, 1e-12)
 
-    s = f.s[mask]
-    fit = _fit_line(s, f.ratio[mask], "rectifying_test")
+    s = f.s[rows]
+    fit = _fit_line(s, f.ratio[rows], "rectifying_test")
     span = float(s[-1] - s[0])
     ok = normal_component < tol and fit.max_residual < tol * (1.0 + abs(fit.slope) * span)
     return RectifyingReport(normal_component=normal_component, fit=fit, is_rectifying=bool(ok))

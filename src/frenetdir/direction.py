@@ -24,6 +24,7 @@ from .numerics import (
     _require_fraction,
     _require_same_grid,
     _require_tol,
+    _rows,
     cumulative_integral,
     norm,
 )
@@ -189,8 +190,9 @@ def compare_predicted(
     mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
     if not np.any(mask):
         return AgreementReport(np.nan, np.nan, 0, passed=False)
-    dev_k = float(np.max(np.abs(g.kappa[mask] - np.abs(pb.kappa_bar_signed[mask]))))
-    dev_t = float(np.max(np.abs(g.tau[mask] - pb.tau_bar_signed[mask])))
+    rows = _rows(mask)
+    dev_k = float(np.max(np.abs(g.kappa[rows] - np.abs(pb.kappa_bar_signed[rows]))))
+    dev_t = float(np.max(np.abs(g.tau[rows] - pb.tau_bar_signed[rows])))
     return AgreementReport(
         dev_kappa=dev_k,
         dev_tau=dev_t,
@@ -242,6 +244,8 @@ def mannheim_check(g: FrenetData, f: FrenetData, tol: float = 1e-4) -> MannheimR
     mask = g.valid_interior() & f.frenet_valid & (g.kappa >= MANNHEIM_KAPPA_FRACTION * f.kappa)
     if not np.any(mask):
         return MannheimReport(np.nan, passed=True, vacuous=True)
-    align = np.abs(np.einsum("ij,ij->i", g.N[mask], f.B[mask]))
-    mn = float(np.min(align))
+    # the mask is many short runs wherever g.kappa dips, so reduce over
+    # every row instead of gathering the masked ones
+    align = np.abs(np.einsum("ij,ij->i", g.N, f.B))
+    mn = float(np.min(align, where=mask, initial=np.inf))
     return MannheimReport(min_alignment=mn, passed=bool(mn >= 1.0 - tol), vacuous=False)

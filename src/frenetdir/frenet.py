@@ -25,6 +25,7 @@ from .numerics import (
     ScalarSamples,
     VectorSamples,
     _require_tol,
+    _rows,
     cross,
     cumulative_integral,
     derivative,
@@ -179,7 +180,8 @@ def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
     mask = f.valid_interior()
     if not np.any(mask):
         return FrameCheck(*[0.0] * 8, passed=True, vacuous=True)
-    T, N, B = f.T[mask], f.N[mask], f.B[mask]
+    rows = _rows(mask)
+    T, N, B = f.T[rows], f.N[rows], f.B[rows]
     devs = {
         key: float(np.max(np.abs(x)))
         for key, x in (

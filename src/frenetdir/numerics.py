@@ -16,7 +16,7 @@ derivative call.
 Integration and differentiation are used in composition (curves are built by
 integrating a field, then differentiated up to third order), so the
 quadrature's local error must vary smoothly from panel to panel; see
-_cumulative_1d.
+_cumulative.
 """
 
 from dataclasses import dataclass, field
@@ -126,6 +126,18 @@ class ConstancyReport:
     degenerate_zero: bool = field(default=False)
 
 
+def _rows(mask: np.ndarray):
+    """Index for the True rows of a boolean mask: slice(lo, hi) when they
+    form one contiguous run, so that indexing with it is a view and copies
+    nothing, and the mask itself otherwise.  Either selects the same rows
+    in the same order."""
+    lo = int(np.argmax(mask))
+    hi = mask.size - int(np.argmax(mask[::-1]))
+    if mask[lo] and mask[lo:hi].all():
+        return slice(lo, hi)
+    return mask
+
+
 def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
     """ConstancyReport over a plain array (callers pre-select samples)."""
     values = np.asarray(values, dtype=float)
@@ -197,16 +209,21 @@ def _weights(order: int):
     return center, tuple(head), tuple(tail)
 
 
-def _derivative_1d(y: np.ndarray, order: int, h: float) -> np.ndarray:
-    n = y.size
+def _derivative(y: np.ndarray, order: int, h: float) -> np.ndarray:
+    """Stencil derivative of (n,) or (n, 3) data, one column at a time into
+    one output array.  Each column is read through its own (possibly
+    strided) view of y: see derivative on why the layout matters."""
+    n = y.shape[0]
     center, head, tail = _weights(order)
     half = len(head)
     win = _EDGE_WINDOW[order]
-    out = np.empty(n)
-    out[half:n - half] = np.correlate(y, center, mode="valid")
-    for i in range(half):
-        out[i] = head[i] @ y[:win]
-        out[n - 1 - i] = tail[i] @ y[n - win:]
+    out = np.empty(y.shape)
+    # reshape to (n, columns) is a view of both arrays for either shape
+    for col, dst in zip(y.reshape(n, -1).T, out.reshape(n, -1).T):
+        dst[half:n - half] = np.correlate(col, center, mode="valid")
+        for i in range(half):
+            dst[i] = head[i] @ col[:win]
+            dst[n - 1 - i] = tail[i] @ col[n - win:]
     out /= h**order
     return out
 
@@ -231,35 +248,41 @@ def derivative(f, order: int):
     stencil, so on fine grids of data far from the origin those rows are
     roundoff-dominated.  Accuracy statements hold on the interior rows
     (FrenetData.valid_interior).
+
+    The bits of the boundary rows depend on the memory layout of the column
+    they read (a dot product over a strided view and over a contiguous copy
+    of the same numbers can differ in the last bit); the interior rows do
+    not.  Vector data is therefore read through strided column views of
+    f.data, never a transposed or contiguous copy, so each column of a
+    vector derivative is bit-identical to the scalar derivative of that
+    column view.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    h = f.grid.h
-    if isinstance(f, ScalarSamples):
-        return ScalarSamples(f.grid, _derivative_1d(f.data, order, h))
-    if isinstance(f, VectorSamples):
-        out = np.empty((f.grid.n, 3))
-        for k in range(3):
-            out[:, k] = _derivative_1d(f.data[:, k], order, h)
-        return VectorSamples(f.grid, out)
-    raise TypeError("derivative expects ScalarSamples or VectorSamples")
+    if not isinstance(f, (ScalarSamples, VectorSamples)):
+        raise TypeError("derivative expects ScalarSamples or VectorSamples")
+    return type(f)(f.grid, _derivative(f.data, order, f.grid.h))
 
 
-def _cumulative_1d(y: np.ndarray, h: float, initial: float) -> np.ndarray:
-    n = y.size
+def _cumulative(y: np.ndarray, h: float, initial) -> np.ndarray:
+    """Cumulative integral of (n,) or (n, 3) data; initial is a float or
+    one value per column."""
+    n = y.shape[0]
     # Integral over each single interval from the cubic through the four
     # nearest nodes.  One stencil family for every interior interval keeps
     # the local error sign-coherent along the grid; a scheme that alternates
     # stencils by parity leaves a sawtooth residue that second-derivative
     # stencils amplify by 1/h^2 downstream.
-    panels = np.empty(n - 1)
-    j = np.arange(1, n - 2)
-    panels[j] = h * (-y[j - 1] + 13.0 * y[j] + 13.0 * y[j + 1] - y[j + 2]) / 24.0
+    panels = np.empty((n - 1, *y.shape[1:]))
+    panels[1:n - 2] = h * (-y[:n - 3] + 13.0 * y[1:n - 2] + 13.0 * y[2:n - 1] - y[3:]) / 24.0
     panels[0] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
     panels[n - 2] = h * (y[n - 4] - 5.0 * y[n - 3] + 19.0 * y[n - 2] + 9.0 * y[n - 1]) / 24.0
-    out = np.empty(n)
+    out = np.empty(y.shape)
     out[0] = initial
-    out[1:] = initial + np.cumsum(panels)
+    # a running sum down each column, then the offset: the same additions
+    # as initial + np.cumsum(column), without a temporary per column
+    np.cumsum(panels, axis=0, out=out[1:])
+    out[1:] += initial
     return out
 
 
@@ -269,14 +292,10 @@ def cumulative_integral(f, initial=0.0):
     result[0] equals `initial`; cubic integrands are reproduced exactly at
     every sample and the scheme is globally O(h^4) for smooth data.
     """
-    h = f.grid.h
     if isinstance(f, ScalarSamples):
-        return ScalarSamples(f.grid, _cumulative_1d(f.data, h, float(initial)))
-    if isinstance(f, VectorSamples):
-        init = np.broadcast_to(np.asarray(initial, dtype=float), (3,))
-        out = np.empty((f.grid.n, 3))
-        for k in range(3):
-            out[:, k] = _cumulative_1d(f.data[:, k], h, init[k])
-        return VectorSamples(f.grid, out)
-    raise TypeError("cumulative_integral expects ScalarSamples or VectorSamples")
-
+        initial = float(initial)
+    elif isinstance(f, VectorSamples):
+        initial = np.broadcast_to(np.asarray(initial, dtype=float), (3,))
+    else:
+        raise TypeError("cumulative_integral expects ScalarSamples or VectorSamples")
+    return type(f)(f.grid, _cumulative(f.data, f.grid.h, initial))

@@ -45,6 +45,7 @@ from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
     _require_tol,
+    _rows,
     cross,
     norm,
 )
@@ -143,14 +144,15 @@ def verify_od_properties(
     if not np.any(mask):
         raise _no_samples("verify_od_properties")
 
-    srel = g.s[mask] - g.s[0]
-    fit = _fit_line(srel, g.ratio[mask], "verify_od_properties")
+    rows = _rows(mask)
+    srel = g.s[rows] - g.s[0]
+    fit = _fit_line(srel, g.ratio[rows], "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
 
     axis = modified_darboux(g).data
-    pts = gamma.points[mask]
-    ax = axis[mask]
+    pts = gamma.points[rows]
+    ax = axis[rows]
     sine = norm(cross(pts, ax))
     denom = norm(pts) * norm(ax)
     cross_ratio = float(np.max(sine / np.maximum(denom, 1e-12)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     DEGENERACY_FLOOR,
+    MANNHEIM_KAPPA_FRACTION,
     DirectionCoefficients,
     binormal_direction_curve,
     compare_predicted,
@@ -425,6 +426,18 @@ class TestMannheim:
         assert abs(dc.v[1000]) < 2 * v
         report = mannheim_check(g, f)
         assert report.passed and not report.vacuous
+
+    @pytest.mark.parametrize("hole", [None, 1000], ids=["donor-valid", "donor-hole"])
+    def test_equals_boolean_indexed_min(self, hole):
+        f, _, g = constructed("circular_helix")
+        if hole is not None:
+            valid, N, B = f.frenet_valid.copy(), f.N.copy(), f.B.copy()
+            valid[hole] = False
+            N[hole] = B[hole] = np.nan
+            f = FrenetData(f.grid, f.T, N, B, f.kappa, f.tau, valid, f.speed)
+        mask = g.valid_interior() & f.frenet_valid & (g.kappa >= MANNHEIM_KAPPA_FRACTION * f.kappa)
+        expected = float(np.min(np.abs(np.einsum("ij,ij->i", g.N[mask], f.B[mask]))))
+        assert mannheim_check(g, f).min_alignment == expected
 
     def test_grid_mismatch_rejected(self):
         f, _, g = constructed("circular_helix")

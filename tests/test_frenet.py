@@ -15,7 +15,7 @@ from frenetdir.frenet import (
     frenet_derivative_check,
     verify_frame,
 )
-from frenetdir.numerics import Grid, VectorSamples, derivative, uniform_grid
+from frenetdir.numerics import Grid, VectorSamples, cross, derivative, norm, uniform_grid
 
 from oracles import FRAME_ORACLES, WARPED_HELICES, warped_helix
 
@@ -196,6 +196,30 @@ class TestVerifyFrame:
         fields = (r.norm_T, r.norm_N, r.norm_B, r.dot_TN, r.dot_TB, r.dot_NB, r.handedness)
         assert r.worst == max(fields)
         assert not verify_frame(f, tol=r.worst).passed
+
+    @pytest.mark.parametrize("hole", [None, 100], ids=["one-run", "two-runs"])
+    def test_equals_boolean_indexed_statistics(self, hole):
+        # an interior row without a frame splits valid_interior() in two
+        _, f = catalog_frenet("helix_12_5", n=201)
+        if hole is not None:
+            valid, N, B = f.frenet_valid.copy(), f.N.copy(), f.B.copy()
+            valid[hole] = False
+            N[hole] = B[hole] = np.nan
+            f = FrenetData(f.grid, f.T, N, B, f.kappa, f.tau, valid, f.speed)
+        mask = f.valid_interior()
+        T, N, B = f.T[mask], f.N[mask], f.B[mask]
+        expected = {
+            "norm_T": norm(T) - 1.0,
+            "norm_N": norm(N) - 1.0,
+            "norm_B": norm(B) - 1.0,
+            "dot_TN": np.einsum("ij,ij->i", T, N),
+            "dot_TB": np.einsum("ij,ij->i", T, B),
+            "dot_NB": np.einsum("ij,ij->i", N, B),
+            "handedness": np.einsum("ij,ij->i", cross(T, N), B) - 1.0,
+        }
+        r = verify_frame(f, tol=1e-6)
+        for key, x in expected.items():
+            assert getattr(r, key) == float(np.max(np.abs(x))), key
 
     def test_all_invalid_is_vacuous_pass(self):
         g = uniform_grid(0.0, 5.0, 51)

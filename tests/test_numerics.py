@@ -181,7 +181,7 @@ class TestWeightTable:
             derivative(vector, order)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [MIN_SAMPLES, 41, 201, 2001])
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 41, 201, 2001, 200001])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_bit_identical_to_solving_kernel(self, n, order):
         g = uniform_grid(-1.0, 3.0, n)
@@ -194,6 +194,29 @@ class TestWeightTable:
             assert np.array_equal(derivative(ScalarSamples(g, data[:, k]), order).data, expected)
             assert np.array_equal(dv[:, k], expected)
 
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "true_rows, expected",
+        [
+            (range(12), slice(0, 12)),
+            (range(3, 9), slice(3, 9)),
+            ([5], slice(5, 6)),
+            ([1, 2, 7, 8], None),
+            ([], None),
+        ],
+        ids=["all-true", "one-run", "one-row", "two-runs", "all-false"],
+    )
+    def test_slice_for_one_run_else_the_mask(self, true_rows, expected):
+        mask = np.zeros(12, dtype=bool)
+        mask[list(true_rows)] = True
+        rows = numerics._rows(mask)
+        if expected is None:
+            assert rows is mask
+        else:
+            assert rows == expected
+        data = np.arange(36.0).reshape(12, 3)
+        assert np.array_equal(data[rows], data[mask])
 
 
 def _row_vectors(n, seed):
@@ -228,7 +251,37 @@ class TestRowKernels:
         assert np.array_equal(norm(b), np.linalg.norm(b, axis=1), equal_nan=True)
 
 
+def _cumulative_1d_gather(y, h, initial):
+    """Reference kernel: one column, interior panels gathered through an
+    index array, offset added to a fresh cumulative sum."""
+    n = y.size
+    panels = np.empty(n - 1)
+    j = np.arange(1, n - 2)
+    panels[j] = h * (-y[j - 1] + 13.0 * y[j] + 13.0 * y[j + 1] - y[j + 2]) / 24.0
+    panels[0] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
+    panels[n - 2] = h * (y[n - 4] - 5.0 * y[n - 3] + 19.0 * y[n - 2] + 9.0 * y[n - 1]) / 24.0
+    out = np.empty(n)
+    out[0] = initial
+    out[1:] = initial + np.cumsum(panels)
+    return out
+
+
 class TestCumulativeIntegral:
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 41, 200001])
+    def test_columns_bit_identical_to_gathering_kernel(self, n):
+        g = uniform_grid(-1.0, 3.0, n)
+        s = g.values
+        data = np.stack([40 * np.sin(3 * s), s**5 - 2 * s, np.exp(s)], axis=1)
+        data[n // 2, 2] = np.nan
+        initial = np.array([1.5, -2.0, 1e3])
+        vec = cumulative_integral(VectorSamples(g, data), initial=initial).data
+        for k in range(3):
+            expected = _cumulative_1d_gather(data[:, k], g.h, initial[k])
+            scalar = cumulative_integral(ScalarSamples(g, data[:, k]), initial=initial[k]).data
+            assert np.array_equal(scalar, expected, equal_nan=True)
+            assert np.array_equal(vec[:, k], expected, equal_nan=True)
+        assert np.all(np.isfinite(vec[:, :2])) and np.isnan(vec[-1, 2])
+
     def test_starts_at_initial(self):
         g = uniform_grid(0.0, 1.0, 11)
         out = cumulative_integral(ScalarSamples(g, g.values**2), initial=3.5)
