@@ -10,7 +10,8 @@ identities are phase-covariant.  Constructed curves share the donor's grid
 and parameter, and the donor's arc length is theirs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,27 +132,42 @@ def binormal_direction_curve(f: FrenetData) -> CurveSamples:
 class PredictedBar:
     """Closed-form Frenet data of the osculating-direction curve, written in
     the donor's frame.  Curvature and torsion are kept signed; numerical
-    comparisons take the magnitude where needed."""
+    comparisons take the magnitude where needed.
+
+    The predicted frame Tbar, Nbar, Bbar is built from the donor frame and
+    coefficients on first read and kept; compare_predicted reads only the
+    curvatures, so most callers never pay for three (n, 3) arrays."""
 
     grid: Grid
     kappa_bar_signed: np.ndarray
     tau_bar_signed: np.ndarray
-    Tbar: np.ndarray
-    Nbar: np.ndarray
-    Bbar: np.ndarray
+    donor: FrenetData = field(repr=False)
+    coefficients: DirectionCoefficients = field(repr=False)
+
+    @cached_property
+    def Tbar(self) -> np.ndarray:
+        u, v = self.coefficients.u[:, None], self.coefficients.v[:, None]
+        return u * self.donor.T + v * self.donor.N
+
+    @cached_property
+    def Nbar(self) -> np.ndarray:
+        return self.donor.B.copy()
+
+    @cached_property
+    def Bbar(self) -> np.ndarray:
+        u, v = self.coefficients.u[:, None], self.coefficients.v[:, None]
+        return v * self.donor.T - u * self.donor.N
 
 
 def predicted_bar_data(f: FrenetData, dc: DirectionCoefficients) -> PredictedBar:
     _require_same_grid(f.grid, dc.grid)
     _require_valid(f, "predicted_bar_data")
-    u, v = dc.u[:, None], dc.v[:, None]
     return PredictedBar(
         grid=f.grid,
         kappa_bar_signed=f.tau * dc.v,
         tau_bar_signed=f.tau * dc.u,
-        Tbar=u * f.T + v * f.N,
-        Nbar=f.B.copy(),
-        Bbar=v * f.T - u * f.N,
+        donor=f,
+        coefficients=dc,
     )
 
 

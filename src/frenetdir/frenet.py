@@ -24,6 +24,8 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _blocks,
+    _derivative,
     _require_tol,
     _rows,
     cross,
@@ -106,35 +108,49 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     filled, but accuracy holds on FrenetData.valid_interior() only.  A
     speed at or below SPEED_FLOOR (a stalled sample) raises DomainError.
 
+    The frame is computed in row blocks of numerics._BLOCK_ROWS (8192)
+    samples: each block's three derivatives, cross products and norms stay
+    in L2 cache, and each output array is written once, block by block,
+    with no full-length float temporary.  A block's rows come out
+    bit-identical to a whole-array pass, so no result depends on the block
+    size, and a curve of at most 8192 samples is a single block.  The
+    stalled-sample check runs on each block before any division in it.
+
     One frame per curve: the result is stored on the curve instance and
     returned as is by every later call on it.  Its arrays are read-only,
     as is CurveSamples.points, so the stored frame cannot go stale.
     """
     if "_frenet" in c.__dict__:
         return c.__dict__["_frenet"]
-    pts = VectorSamples(c.grid, c.points)
-    d1 = derivative(pts, 1).data
-    d2 = derivative(pts, 2).data
-    d3 = derivative(pts, 3).data
-
-    speed = norm(d1)
-    if not np.all(speed > SPEED_FLOOR):
-        i = int(np.argmin(speed > SPEED_FLOOR))
-        raise DomainError(f"degenerate curve: speed {speed[i]:.3g} at sample {i} "
-                          f"(parameter {c.grid.values[i]:g}) is not above {SPEED_FLOOR:g}")
-    d1xd2 = cross(d1, d2)
-    cross_norm = norm(d1xd2)
-    kappa = cross_norm / speed**3
+    n, h = c.grid.n, c.grid.h
+    for rows in _blocks(slice(0, n)):
+        d1, d2, d3 = (_derivative(c.points, k, h, rows.start, rows.stop) for k in (1, 2, 3))
+        if rows.start == 0:
+            # allocated after the first derivatives, so that the freed
+            # block temporaries leave reusable holes below the outputs: on
+            # top of them they would leave a free heap top that malloc
+            # hands back to the system, and every frame would fault its
+            # pages in again
+            T, N, B = (np.empty((n, 3)) for _ in range(3))
+            kappa, tau, speed = (np.empty(n) for _ in range(3))
+        # every output row is written once, straight into its array
+        sp = norm(d1, out=speed[rows])
+        if not np.all(sp > SPEED_FLOOR):
+            i = rows.start + int(np.argmin(sp > SPEED_FLOOR))
+            raise DomainError(f"degenerate curve: speed {speed[i]:.3g} at sample {i} "
+                              f"(parameter {c.grid.values[i]:g}) is not above {SPEED_FLOOR:g}")
+        d1xd2 = cross(d1, d2)
+        cross_norm = norm(d1xd2)
+        kappa_rows = np.divide(cross_norm, sp**3, out=kappa[rows])
+        # T is normalized so the triad is orthonormal by construction: B is
+        # unit and perpendicular to d1 already, and N = B x T inherits both.
+        T_rows = np.divide(d1, sp[:, None], out=T[rows])
+        # safe denominator; invalid rows are overwritten with NaN below
+        denom = np.where(kappa_rows >= KAPPA_FLOOR, cross_norm, 1.0)
+        B_rows = np.divide(d1xd2, denom[:, None], out=B[rows])
+        cross(B_rows, T_rows, out=N[rows])
+        np.divide(np.einsum("ij,ij->i", d1xd2, d3), denom**2, out=tau[rows])
     valid = kappa >= KAPPA_FLOOR
-
-    # T is normalized so the triad is orthonormal by construction: B is unit
-    # and perpendicular to d1 already, and N = B x T inherits both.
-    T = d1 / speed[:, None]
-    # safe denominator; invalid rows are overwritten with NaN below
-    denom = np.where(valid, cross_norm, 1.0)
-    B = d1xd2 / denom[:, None]
-    N = cross(B, T)
-    tau = np.einsum("ij,ij->i", d1xd2, d3) / denom**2
     B[~valid] = np.nan
     N[~valid] = np.nan
     tau[~valid] = np.nan
@@ -180,20 +196,21 @@ def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
     mask = f.valid_interior()
     if not np.any(mask):
         return FrameCheck(*[0.0] * 8, passed=True, vacuous=True)
-    rows = _rows(mask)
-    T, N, B = f.T[rows], f.N[rows], f.B[rows]
-    devs = {
-        key: float(np.max(np.abs(x)))
-        for key, x in (
-            ("norm_T", norm(T) - 1.0),
-            ("norm_N", norm(N) - 1.0),
-            ("norm_B", norm(B) - 1.0),
-            ("dot_TN", np.einsum("ij,ij->i", T, N)),
-            ("dot_TB", np.einsum("ij,ij->i", T, B)),
-            ("dot_NB", np.einsum("ij,ij->i", N, B)),
-            ("handedness", np.einsum("ij,ij->i", cross(T, N), B) - 1.0),
-        )
-    }
+    keys = ("norm_T", "norm_N", "norm_B", "dot_TN", "dot_TB", "dot_NB", "handedness")
+    # per-block maxima, then the max over blocks: exact, and NaN still wins
+    maxima = []
+    for rows in _blocks(_rows(mask)):
+        T, N, B = f.T[rows], f.N[rows], f.B[rows]
+        maxima.append([np.max(np.abs(x)) for x in (
+            norm(T) - 1.0,
+            norm(N) - 1.0,
+            norm(B) - 1.0,
+            np.einsum("ij,ij->i", T, N),
+            np.einsum("ij,ij->i", T, B),
+            np.einsum("ij,ij->i", N, B),
+            np.einsum("ij,ij->i", cross(T, N), B) - 1.0,
+        )])
+    devs = dict(zip(keys, map(float, np.max(maxima, axis=0))))
     worst = max(devs.values())
     return FrameCheck(**devs, worst=worst, passed=bool(worst < tol), vacuous=False)
 

@@ -44,6 +44,7 @@ from .frenet import FrenetData, frenet_apparatus, unit_speed_deviation
 from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
+    _blocks,
     _require_tol,
     _rows,
     cross,
@@ -151,11 +152,13 @@ def verify_od_properties(
     intercept_error = abs(fit.intercept - p.b / p.a)
 
     axis = modified_darboux(g).data
-    pts = gamma.points[rows]
-    ax = axis[rows]
-    sine = norm(cross(pts, ax))
-    denom = norm(pts) * norm(ax)
-    cross_ratio = float(np.max(sine / np.maximum(denom, 1e-12)))
+    block_maxima = []
+    for r in _blocks(rows):
+        pts, ax = gamma.points[r], axis[r]
+        sine = norm(cross(pts, ax))
+        denom = norm(pts) * norm(ax)
+        block_maxima.append(np.max(sine / np.maximum(denom, 1e-12)))
+    cross_ratio = float(np.max(block_maxima))
 
     passed = bool(
         rect.is_rectifying

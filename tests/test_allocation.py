@@ -1,13 +1,17 @@
 """Traced allocation peaks of the statistics and kernels on a large curve,
 in units of one (n, 3) float64 array at n = 20001.
 
-Masked statistics select a one-run mask's rows through a view, and the
-stencil and quadrature kernels write into one output array, so each peak
-counts the whole-array temporaries a call still makes.  The counts are
-deterministic for a given numpy; a change that brings back a full-array
-copy raises a peak by about one unit and fails its bound.  The bounds sit
-between the measured peaks and those of the copying code they replaced
-(verify_frame 6.7, mannheim_check 2.4, classify 3.4).
+Masked statistics select a one-run mask's rows through a view, the
+stencil and quadrature kernels write into one output array, the Frenet
+frame and the frame statistics run in row blocks (numerics._BLOCK_ROWS;
+n = 20001 is three blocks, each about 0.4 units), and the predicted frame
+of predicted_bar_data is built only when read.  So each peak counts the
+whole-array temporaries a call still makes.  The counts are deterministic
+for a given numpy; a change that brings back a full-array copy raises a
+peak by about one unit and fails its bound.  The bounds sit between the
+measured peaks and those of the code they replaced (verify_frame 6.7, then
+3.7 before blocking; mannheim_check 2.4; classify 3.4; predicted_bar_data
+4.8; frenet_apparatus 5.3 above the arrays it keeps).
 """
 
 import tracemalloc
@@ -23,6 +27,7 @@ from frenetdir.direction import (
     mannheim_check,
     osculating_coefficients,
     osculating_direction_curve,
+    predicted_bar_data,
 )
 from frenetdir.frenet import frenet_apparatus, verify_frame
 from frenetdir.numerics import uniform_grid
@@ -59,13 +64,28 @@ def frames():
     # allocations: make them before tracing
     verify_frame(f)
     mannheim_check(g, f)
+    predicted_bar_data(f, osculating_coefficients(f, PHASE))
     classify(evaluate_catalog("circular_helix"))
     return f, g
 
 
 def test_verify_frame_copies_no_frame(frames):
     f, _ = frames
-    assert traced_peak(lambda: verify_frame(f)) < 5.0
+    assert traced_peak(lambda: verify_frame(f)) < 2.5
+
+
+def test_frenet_apparatus_keeps_no_full_length_temporary(frames):
+    c = helix()
+    peak = traced_peak(lambda: frenet_apparatus(c))
+    f = frenet_apparatus(c)
+    kept = sum(a.nbytes for a in (f.T, f.N, f.B, f.kappa, f.tau, f.frenet_valid, f.speed))
+    assert peak - kept / UNIT < 4.0
+
+
+def test_predicted_bar_data_builds_no_frame(frames):
+    f, _ = frames
+    dc = osculating_coefficients(f, PHASE)
+    assert traced_peak(lambda: predicted_bar_data(f, dc)) < 1.0
 
 
 def test_mannheim_check_gathers_no_rows(frames):

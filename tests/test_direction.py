@@ -261,6 +261,15 @@ class TestPredictedBarData:
         for arr in (pb.Tbar, pb.Nbar, pb.Bbar):
             assert np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)) < 1e-9
 
+    def test_frame_built_on_read_equals_eager_expressions(self):
+        f, dc = donor("helix_12_5", phase=0.3)
+        pb = predicted_bar_data(f, dc)
+        u, v = dc.u[:, None], dc.v[:, None]
+        assert np.array_equal(pb.Tbar, u * f.T + v * f.N)
+        assert np.array_equal(pb.Nbar, f.B)
+        assert np.array_equal(pb.Bbar, v * f.T - u * f.N)
+        assert pb.Tbar is pb.Tbar
+
 
 class TestCompareAgainstPrediction:
     def test_helix_direction_curve_agrees(self):

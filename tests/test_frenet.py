@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from frenetdir import frenet
+from frenetdir import frenet, numerics
 from frenetdir.classify import classify
 from frenetdir.curves import CurveSamples, catalog_names, evaluate_catalog
 from frenetdir.errors import DomainError
@@ -64,14 +64,17 @@ class TestCurvatures:
         assert np.max(np.abs(f.speed[inner] - np.sqrt(2.0) * (3 + 2 * t[inner]))) < 1e-6
         assert np.max(np.abs(f.s - np.sqrt(2.0) * p)) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
     def test_stalled_sample_rejected(self):
         # five repeated samples: the central stencil of the middle one sees
-        # no motion at all
-        g = uniform_grid(0.0, 2.0, 101)
-        pts = np.stack([np.cos(g.values), np.sin(g.values), g.values], axis=1)
-        pts[48:53] = pts[48]
-        with pytest.raises(DomainError, match=r"degenerate curve: .* at sample 50 \(parameter 1\)"):
-            frenet_apparatus(CurveSamples(g, pts))
+        # no motion at all.  At n = 20001 the stall is in the second row
+        # block, and the first block's divisions must not warn.
+        for n, i, s in ((101, 50, "1"), (20001, 9000, "0.9")):
+            g = uniform_grid(0.0, 2.0, n)
+            pts = np.stack([np.cos(g.values), np.sin(g.values), g.values], axis=1)
+            pts[i - 2:i + 3] = pts[i - 2]
+            with pytest.raises(DomainError, match=rf"degenerate curve: .* at sample {i} \(parameter {s}\)"):
+                frenet_apparatus(CurveSamples(g, pts))
 
     def test_planar_curve_torsion_vanishes(self):
         g = uniform_grid(0.0, 2 * np.pi, 1001)
@@ -162,16 +165,28 @@ def _frenet_apparatus_numpy(c):
     return T, N, B, kappa, tau, valid, speed
 
 
+def _assert_matches_numpy(c, f):
+    T, N, B, kappa, tau, valid, speed = _frenet_apparatus_numpy(c)
+    pairs = ((f.T, T), (f.N, N), (f.B, B), (f.kappa, kappa), (f.tau, tau), (f.speed, speed))
+    for got, expected in pairs:
+        assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(f.frenet_valid, valid)
+
+
 class TestNumpyReference:
+    # n = 20001 is three row blocks, the last one partial
     @pytest.mark.parametrize("name", catalog_names())
-    @pytest.mark.parametrize("n", [201, 2001])
+    @pytest.mark.parametrize("n", [201, 2001, 20001])
     def test_bit_identical(self, name, n):
-        c, f = catalog_frenet(name, n)
-        T, N, B, kappa, tau, valid, speed = _frenet_apparatus_numpy(c)
-        pairs = ((f.T, T), (f.N, N), (f.B, B), (f.kappa, kappa), (f.tau, tau), (f.speed, speed))
-        for got, expected in pairs:
-            assert np.array_equal(got, expected, equal_nan=True)
-        assert np.array_equal(f.frenet_valid, valid)
+        _assert_matches_numpy(*catalog_frenet(name, n))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 64])
+    @pytest.mark.parametrize("n", [41, 201])
+    def test_bit_identical_for_any_block_size(self, monkeypatch, block_rows, n):
+        # block edges inside the one-sided bands at both ends
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block_rows)
+        for name in catalog_names():
+            _assert_matches_numpy(*catalog_frenet(name, n))
 
 
 class TestVerifyFrame:
@@ -197,10 +212,15 @@ class TestVerifyFrame:
         assert r.worst == max(fields)
         assert not verify_frame(f, tol=r.worst).passed
 
-    @pytest.mark.parametrize("hole", [None, 100], ids=["one-run", "two-runs"])
-    def test_equals_boolean_indexed_statistics(self, hole):
-        # an interior row without a frame splits valid_interior() in two
-        _, f = catalog_frenet("helix_12_5", n=201)
+    @pytest.mark.parametrize(
+        "hole, n",
+        [(None, 201), (100, 201), (None, 20001), (100, 20001)],
+        ids=["one-run", "two-runs", "one-run-20001", "two-runs-20001"],
+    )
+    def test_equals_boolean_indexed_statistics(self, hole, n):
+        # an interior row without a frame splits valid_interior() in two;
+        # at n = 20001 one run is three row blocks
+        _, f = catalog_frenet("helix_12_5", n=n)
         if hole is not None:
             valid, N, B = f.frenet_valid.copy(), f.N.copy(), f.B.copy()
             valid[hole] = False
@@ -270,13 +290,16 @@ class TestOneFramePerCurve:
         assert np.array_equal(f.kappa, frenet_apparatus(CurveSamples(g, 0.5 * pts)).kappa)
 
     def test_classify_reuses_the_callers_frame(self, monkeypatch):
+        # frenet_apparatus differentiates through the row-range kernel, once
+        # per order and block; this curve is one block
         calls = collections.Counter()
+        kernel = frenet._derivative
 
-        def counted(samples, order):
+        def counted(y, order, *args):
             calls[order] += 1
-            return derivative(samples, order)
+            return kernel(y, order, *args)
 
-        monkeypatch.setattr(frenet, "derivative", counted)
+        monkeypatch.setattr(frenet, "_derivative", counted)
         c = evaluate_catalog("circular_helix")
         frenet_apparatus(c)
         classify(c)

@@ -195,6 +195,29 @@ class TestWeightTable:
             assert np.array_equal(dv[:, k], expected)
 
 
+class TestRowRanges:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_range_equals_the_whole_array_rows(self, order):
+        # ranges that start, end or lie inside the one-sided bands included
+        g = uniform_grid(-1.0, 3.0, 41)
+        s = g.values
+        rng = np.random.default_rng(41)
+        data = np.stack([40 * np.sin(3 * s), s**5 - 2 * s, rng.normal(size=41) * 1e3], axis=1)
+        for y in (data, data[:, 2], data[:, 0].copy()):
+            whole = numerics._derivative(y, order, g.h)
+            for lo in range(41):
+                for hi in range(lo + 1, 42):
+                    assert np.array_equal(numerics._derivative(y, order, g.h, lo, hi), whole[lo:hi])
+
+    def test_blocks_cover_a_slice_and_keep_a_mask(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", 4)
+        assert numerics._blocks(slice(3, 13)) == [slice(3, 7), slice(7, 11), slice(11, 13)]
+        assert numerics._blocks(slice(3, 7)) == [slice(3, 7)]
+        mask = np.array([True, False, True])
+        blocks = numerics._blocks(mask)
+        assert len(blocks) == 1 and blocks[0] is mask
+
+
 class TestRows:
     @pytest.mark.parametrize(
         "true_rows, expected",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frenetdir.classify import RATIO_FLOOR, _resolved_ratio
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     direction_field,
@@ -14,10 +15,14 @@ from frenetdir.direction import (
 from frenetdir.errors import DomainError
 from frenetdir.frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation
 from frenetdir.numerics import (
+    BOUNDARY_MARGIN,
     ScalarSamples,
     VectorSamples,
+    _rows,
+    cross,
     cumulative_integral,
     derivative,
+    norm,
     uniform_grid,
 )
 from frenetdir.od import (
@@ -329,6 +334,17 @@ class TestVerify:
         assert not rep.passed
         assert not rep.rectifying.is_rectifying
         assert rep.rectifying.normal_component > 5e-2
+
+    def test_cross_ratio_equals_whole_array_expression(self):
+        # n = 20001: the cross ratio reduces over three row blocks
+        gamma = spherical_image_curve(1.0, 1.0, 4.0, 20001)
+        p = ODParameters(1.0, 1.0)
+        g = frenet_apparatus(gamma)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        assert isinstance(_rows(mask), slice)
+        pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
+        expected = np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12))
+        assert verify_od_properties(gamma, p).cross_ratio == float(expected)
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError, match="tol"):
