@@ -25,6 +25,7 @@ from .numerics import (
     _rows,
     constancy,
     norm,
+    rowdot,
 )
 
 # curvature (line_test) or torsion (plane_test) below this magnitude on
@@ -206,7 +207,7 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
         raise _no_samples("rectifying_test")
     rows = _rows(mask)
     pts = c.points[rows]
-    normal = float(np.max(np.abs(np.einsum("ij,ij->i", pts, f.N[rows]))))
+    normal = float(np.max(np.abs(rowdot(pts, f.N[rows]))))
     scale = float(np.max(norm(pts)))
     normal_component = normal / max(scale, 1e-12)
 

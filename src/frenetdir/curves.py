@@ -37,16 +37,20 @@ class CurveSamples:
     FrenetData (frenet.unit_speed_deviation), not part of the samples.
     Non-finite points raise DomainError naming the first such sample.
 
-    points is the curve's own read-only copy of the samples, so later
-    writes to the caller's array cannot change the curve, nor the Frenet
-    apparatus that frenet_apparatus computes once per curve and keeps.
+    points is the curve's own read-only, C-ordered copy of the samples,
+    so later writes to the caller's array cannot change the curve, nor the
+    Frenet apparatus that frenet_apparatus computes once per curve and
+    keeps.  The copy is C-ordered whatever the layout of the caller's
+    array, because the one-sided derivative rows at both ends of the
+    curve read that layout (see numerics.derivative): the same points give
+    the same frame bit for bit.
     """
 
     grid: Grid
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.shape != (self.grid.n, 3):
             raise ValueError(f"points shape {pts.shape} does not match grid n={self.grid.n}")
         if not np.isfinite(pts).all():

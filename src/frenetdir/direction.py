@@ -22,12 +22,13 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _masked_maxima,
     _require_fraction,
     _require_same_grid,
     _require_tol,
-    _rows,
     cumulative_integral,
     norm,
+    rowdot,
 )
 
 # |sin theta| or |cos theta| below this marks a sample as degenerate for
@@ -206,9 +207,10 @@ def compare_predicted(
     mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
     if not np.any(mask):
         return AgreementReport(np.nan, np.nan, 0, passed=False)
-    rows = _rows(mask)
-    dev_k = float(np.max(np.abs(g.kappa[rows] - np.abs(pb.kappa_bar_signed[rows]))))
-    dev_t = float(np.max(np.abs(g.tau[rows] - pb.tau_bar_signed[rows])))
+    dev_k, dev_t = _masked_maxima(mask, lambda rows: (
+        np.abs(g.kappa[rows] - np.abs(pb.kappa_bar_signed[rows])),
+        np.abs(g.tau[rows] - pb.tau_bar_signed[rows]),
+    ))
     return AgreementReport(
         dev_kappa=dev_k,
         dev_tau=dev_t,
@@ -262,6 +264,6 @@ def mannheim_check(g: FrenetData, f: FrenetData, tol: float = 1e-4) -> MannheimR
         return MannheimReport(np.nan, passed=True, vacuous=True)
     # the mask is many short runs wherever g.kappa dips, so reduce over
     # every row instead of gathering the masked ones
-    align = np.abs(np.einsum("ij,ij->i", g.N, f.B))
+    align = np.abs(rowdot(g.N, f.B))
     mn = float(np.min(align, where=mask, initial=np.inf))
     return MannheimReport(min_alignment=mn, passed=bool(mn >= 1.0 - tol), vacuous=False)

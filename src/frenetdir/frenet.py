@@ -26,12 +26,13 @@ from .numerics import (
     VectorSamples,
     _blocks,
     _derivative,
+    _masked_maxima,
     _require_tol,
-    _rows,
     cross,
     cumulative_integral,
     derivative,
     norm,
+    rowdot,
 )
 
 KAPPA_FLOOR = 1e-9
@@ -53,6 +54,10 @@ class FrenetData:
     the same truncation order but carry roundoff of order
     sum|w| * ulp(|p|) / h^k, which for tau (k = 3) is far above the
     interior error on fine grids of curves far from the origin.
+
+    T, N and B are read-only (n, 3) views of component-major (3, n)
+    storage: each component is one contiguous row of n values, and
+    f.T.T is that C-contiguous (3, n) array.
 
     frenet_apparatus builds one FrenetData per curve instance and hands the
     same object to every later caller, so its arrays (the cached s and
@@ -109,12 +114,13 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     speed at or below SPEED_FLOOR (a stalled sample) raises DomainError.
 
     The frame is computed in row blocks of numerics._BLOCK_ROWS (8192)
-    samples: each block's three derivatives, cross products and norms stay
-    in L2 cache, and each output array is written once, block by block,
-    with no full-length float temporary.  A block's rows come out
-    bit-identical to a whole-array pass, so no result depends on the block
-    size, and a curve of at most 8192 samples is a single block.  The
-    stalled-sample check runs on each block before any division in it.
+    samples, component-major: each block's three derivatives and d1 x d2
+    go into (3, rows) scratch arrays, which stay in L2 cache, and each
+    output array is written once, block by block, with no full-length
+    float temporary.  A block's rows come out bit-identical to a
+    whole-array pass, so no result depends on the block size, and a curve
+    of at most 8192 samples is a single block.  The stalled-sample check
+    runs on each block before any division in it.
 
     One frame per curve: the result is stored on the curve instance and
     returned as is by every later call on it.  Its arrays are read-only,
@@ -123,33 +129,37 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     if "_frenet" in c.__dict__:
         return c.__dict__["_frenet"]
     n, h = c.grid.n, c.grid.h
-    for rows in _blocks(slice(0, n)):
-        d1, d2, d3 = (_derivative(c.points, k, h, rows.start, rows.stop) for k in (1, 2, 3))
-        if rows.start == 0:
-            # allocated after the first derivatives, so that the freed
-            # block temporaries leave reusable holes below the outputs: on
-            # top of them they would leave a free heap top that malloc
-            # hands back to the system, and every frame would fault its
-            # pages in again
-            T, N, B = (np.empty((n, 3)) for _ in range(3))
-            kappa, tau, speed = (np.empty(n) for _ in range(3))
+    blocks = _blocks(slice(0, n))
+    # (3, rows) scratch for d1, d2, d3 and d1 x d2 of one block, allocated
+    # below the outputs, so that its release leaves a reusable hole: on
+    # top of them it would leave a free heap top that malloc hands back to
+    # the system, and every frame would fault its pages in again
+    scratch = np.empty((4, 3, blocks[0].stop))
+    T, N, B = (np.empty((3, n)).T for _ in range(3))
+    kappa, tau, speed = (np.empty(n) for _ in range(3))
+    for rows in blocks:
+        d1, d2, d3, d1xd2 = (a[:, :rows.stop - rows.start].T for a in scratch)
+        for k, d in zip((1, 2, 3), (d1, d2, d3)):
+            _derivative(c.points, k, h, rows.start, rows.stop, d)
         # every output row is written once, straight into its array
         sp = norm(d1, out=speed[rows])
         if not np.all(sp > SPEED_FLOOR):
             i = rows.start + int(np.argmin(sp > SPEED_FLOOR))
             raise DomainError(f"degenerate curve: speed {speed[i]:.3g} at sample {i} "
                               f"(parameter {c.grid.values[i]:g}) is not above {SPEED_FLOOR:g}")
-        d1xd2 = cross(d1, d2)
+        cross(d1, d2, out=d1xd2)
         cross_norm = norm(d1xd2)
         kappa_rows = np.divide(cross_norm, sp**3, out=kappa[rows])
         # T is normalized so the triad is orthonormal by construction: B is
         # unit and perpendicular to d1 already, and N = B x T inherits both.
-        T_rows = np.divide(d1, sp[:, None], out=T[rows])
+        T_rows = T[rows]
+        np.divide(d1.T, sp, out=T_rows.T)
         # safe denominator; invalid rows are overwritten with NaN below
         denom = np.where(kappa_rows >= KAPPA_FLOOR, cross_norm, 1.0)
-        B_rows = np.divide(d1xd2, denom[:, None], out=B[rows])
+        B_rows = B[rows]
+        np.divide(d1xd2.T, denom, out=B_rows.T)
         cross(B_rows, T_rows, out=N[rows])
-        np.divide(np.einsum("ij,ij->i", d1xd2, d3), denom**2, out=tau[rows])
+        np.divide(rowdot(d1xd2, d3), denom**2, out=tau[rows])
     valid = kappa >= KAPPA_FLOOR
     B[~valid] = np.nan
     N[~valid] = np.nan
@@ -197,20 +207,20 @@ def verify_frame(f: FrenetData, tol: float = 1e-6) -> FrameCheck:
     if not np.any(mask):
         return FrameCheck(*[0.0] * 8, passed=True, vacuous=True)
     keys = ("norm_T", "norm_N", "norm_B", "dot_TN", "dot_TB", "dot_NB", "handedness")
-    # per-block maxima, then the max over blocks: exact, and NaN still wins
-    maxima = []
-    for rows in _blocks(_rows(mask)):
+
+    def deviations(rows):
         T, N, B = f.T[rows], f.N[rows], f.B[rows]
-        maxima.append([np.max(np.abs(x)) for x in (
+        return [np.abs(x) for x in (
             norm(T) - 1.0,
             norm(N) - 1.0,
             norm(B) - 1.0,
-            np.einsum("ij,ij->i", T, N),
-            np.einsum("ij,ij->i", T, B),
-            np.einsum("ij,ij->i", N, B),
-            np.einsum("ij,ij->i", cross(T, N), B) - 1.0,
-        )])
-    devs = dict(zip(keys, map(float, np.max(maxima, axis=0))))
+            rowdot(T, N),
+            rowdot(T, B),
+            rowdot(N, B),
+            rowdot(cross(T, N), B) - 1.0,
+        )]
+
+    devs = dict(zip(keys, _masked_maxima(mask, deviations)))
     worst = max(devs.values())
     return FrameCheck(**devs, worst=worst, passed=bool(worst < tol), vacuous=False)
 

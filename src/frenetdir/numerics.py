@@ -19,18 +19,35 @@ quadrature's local error must vary smoothly from panel to panel; see
 _cumulative.
 
 Long per-sample passes (the Frenet frame, the frame and cross-ratio
-statistics) run in row blocks of _BLOCK_ROWS = 8192 rows: _derivative
-returns any row range of a derivative, and _blocks splits a row range.  A
-block's (rows, 3) float64 temporaries take 192 KiB each, so the few that
-are live at once stay in a core's L2 cache between the passes that write
-and read them, and a long curve makes no full-length temporary that is
-written once, read once and freed (each of those costs fresh pages).  On
-a 2 MiB-L2 Xeon, one frame at n = 200001 takes about the same time with
-8192 or 16384 rows, a little longer with 4096; 2048 rows or fewer pay for
-the per-block Python work, and 65536 rows fall out of L2.  Curves of at
-most 8192 samples are one block.  Every row is computed by the same
-operations in the same order whatever block holds it, so no result
-depends on the block size.
+statistics, the osculating-plane companion) run in row blocks of
+_BLOCK_ROWS = 8192 rows: _derivative returns any row range of a
+derivative, and _blocks splits a row range.  A block's (rows, 3) float64
+temporaries take 192 KiB each, so the few that are live at once stay in a
+core's L2 cache between the passes that write and read them, and a long
+curve makes no full-length temporary that is written once, read once and
+freed (each of those costs fresh pages).  On a 2 MiB-L2 Xeon, one frame at
+n = 200001 takes about the same time with 8192 or 16384 rows, a little
+longer with 4096; 2048 rows or fewer pay for the per-block Python work,
+and 65536 rows fall out of L2.  Curves of at most 8192 samples are one
+block.  Every row is computed by the same operations in the same order
+whatever block holds it, so no result depends on the block size.
+
+Frame blocks are component-major: each holds its x, y and z components
+as three contiguous rows of a (3, rows) array and is read through the
+(rows, 3) view of it, so a ufunc over a block runs one long contiguous
+inner loop per component rather than loops of length 3 over strided
+columns.  An elementwise operation gives the same bits in any memory
+layout; the two operations whose bits follow the layout are pinned.  The
+row-wise dot product is rowdot, which adds the products in one fixed
+order, (a0 b0 + a2 b2) + a1 b1: the order np.einsum takes for the
+subscripts "ij,ij->i" on C-ordered rows (on other layouts einsum rounds
+about a quarter of the rows differently).  The one-sided derivative rows read the layout of the
+points, which CurveSamples always stores C-ordered (see derivative).
+
+A max statistic over the True rows of a mask (_masked_maxima) reduces
+block by block over the span from the first to the last True row, with
+where=, and then takes the max over the blocks: exact whatever the
+blocks, NaN still propagates, and a mask of many runs gathers no rows.
 """
 
 from dataclasses import dataclass, field
@@ -144,26 +161,43 @@ class ConstancyReport:
     degenerate_zero: bool = field(default=False)
 
 
+def _span(mask: np.ndarray) -> slice:
+    """slice(lo, hi) from the first True row of a boolean mask to just
+    past its last one (slice(0, n) when there is none)."""
+    lo = int(np.argmax(mask))
+    return slice(lo, mask.size - int(np.argmax(mask[::-1])))
+
+
 def _rows(mask: np.ndarray):
     """Index for the True rows of a boolean mask: slice(lo, hi) when they
     form one contiguous run, so that indexing with it is a view and copies
     nothing, and the mask itself otherwise.  Either selects the same rows
     in the same order."""
-    lo = int(np.argmax(mask))
-    hi = mask.size - int(np.argmax(mask[::-1]))
-    if mask[lo] and mask[lo:hi].all():
-        return slice(lo, hi)
+    span = _span(mask)
+    if mask[span.start] and mask[span].all():
+        return span
     return mask
 
 
-def _blocks(rows) -> list:
-    """Consecutive slices of at most _BLOCK_ROWS rows covering a slice
-    from _rows; a multi-run boolean mask is returned unchanged as one
-    block."""
-    if not isinstance(rows, slice):
-        return [rows]
+def _blocks(rows: slice) -> list:
+    """Consecutive slices of at most _BLOCK_ROWS rows covering a slice."""
     return [slice(lo, min(lo + _BLOCK_ROWS, rows.stop))
             for lo in range(rows.start, rows.stop, _BLOCK_ROWS)]
+
+
+def _masked_maxima(mask: np.ndarray, stats) -> list:
+    """Max of each row statistic over the True rows of a mask (which must
+    hold one): stats(rows) returns the statistics of the rows of one slice
+    as (rows,) arrays.  Each block of the mask's span is reduced with
+    where=, then the blocks' maxima are reduced: exact, and NaN on a True
+    row still propagates.  Rows outside the mask are computed but never
+    read, so their inf or NaN raise no warning."""
+    maxima = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows in _blocks(_span(mask)):
+            where = mask[rows]
+            maxima.append([np.max(x, where=where, initial=-np.inf) for x in stats(rows)])
+    return [float(x) for x in np.max(maxima, axis=0)]
 
 
 def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
@@ -195,6 +229,16 @@ def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
     np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
     np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
     np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 3) arrays, summed in the fixed
+    order (a0 b0 + a2 b2) + a1 b1: the bits that np.einsum gives for the
+    subscripts "ij,ij->i" on C-ordered rows, in every memory layout."""
+    out = a[:, 0] * b[:, 0]
+    out += a[:, 2] * b[:, 2]
+    out += a[:, 1] * b[:, 1]
     return out
 
 
@@ -240,10 +284,12 @@ def _weights(order: int):
     return center, tuple(head), tuple(tail)
 
 
-def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Rows lo..hi-1 of the stencil derivative of (n,) or (n, 3) data, one
-    column at a time into one output array.  Each column is read through
-    its own (possibly strided) view of y: see derivative on why the layout
+    column at a time into one output array: out if given (of any layout),
+    else a new C-ordered one.  Each column is read through its own
+    (possibly strided) view of y: see derivative on why the layout
     matters.  Every row is bit-identical to the same row of the whole-array
     call: a central row correlates the same window of the column whatever
     slice it is read from, and a one-sided row reads the same view."""
@@ -252,7 +298,8 @@ def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None
     center, head, tail = _weights(order)
     half = len(head)
     win = _EDGE_WINDOW[order]
-    out = np.empty((hi - lo, *y.shape[1:]))
+    if out is None:
+        out = np.empty((hi - lo, *y.shape[1:]))
     # central rows a..b-1 of this range
     a, b = max(lo, half), min(hi, n - half)
     # reshape to (rows, columns) is a view of both arrays for either shape
@@ -294,7 +341,9 @@ def derivative(f, order: int):
     not.  Vector data is therefore read through strided column views of
     f.data, never a transposed or contiguous copy, so each column of a
     vector derivative is bit-identical to the scalar derivative of that
-    column view.
+    column view.  CurveSamples stores its points C-ordered, so the frame
+    of a curve does not depend on the layout of the array it was built
+    from.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")

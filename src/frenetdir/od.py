@@ -45,6 +45,7 @@ from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
     _blocks,
+    _masked_maxima,
     _require_tol,
     _rows,
     cross,
@@ -78,15 +79,26 @@ def od_osculating_curve(f: FrenetData, p: ODParameters) -> CurveSamples:
     Direct formula, no integration of a direction field: the position is
     m(s) T(s) + n(s) N(s) with m, n the rotated pair of (s - s_0 + b, a)
     through theta, s the donor's arc length.  See the module docstring for
-    when the result is unit-speed.
+    when the result is unit-speed.  The position is computed in row
+    blocks (numerics._BLOCK_ROWS) straight into one (n, 3) array.
     """
     _require_valid(f, "od_osculating_curve")
     dc = osculating_coefficients(f, p.phase_c)
-    rho = (f.s - f.s[0]) + p.b
-    m = rho * dc.u + p.a * dc.v
-    n = rho * dc.v - p.a * dc.u
-    pts = m[:, None] * f.T + n[:, None] * f.N
+    s, s0 = f.s, f.s[0]
+    pts = np.empty((f.grid.n, 3))
+    for r in _blocks(slice(0, f.grid.n)):
+        rho = (s[r] - s0) + p.b
+        m = rho * dc.u[r] + p.a * dc.v[r]
+        n = rho * dc.v[r] - p.a * dc.u[r]
+        # component-major: one contiguous pass per component
+        np.add(m * f.T[r].T, n * f.N[r].T, out=pts[r].T)
     return CurveSamples(grid=f.grid, points=pts)
+
+
+def _darboux(f: FrenetData, rows: slice) -> np.ndarray:
+    """(torsion/curvature) T + B on the given rows, NaN where the ratio
+    is."""
+    return f.ratio[rows, None] * f.T[rows] + f.B[rows]
 
 
 def modified_darboux(f: FrenetData) -> VectorSamples:
@@ -101,7 +113,7 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
         raise DomainError("modified_darboux: curvature below floor everywhere")
     # NaN on every row without a frame, whatever a hand-built FrenetData
     # holds there
-    out = f.ratio[:, None] * f.T + f.B
+    out = _darboux(f, slice(None))
     out[~f.frenet_valid] = np.nan
     return VectorSamples(f.grid, out)
 
@@ -151,14 +163,13 @@ def verify_od_properties(
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
 
-    axis = modified_darboux(g).data
-    block_maxima = []
-    for r in _blocks(rows):
-        pts, ax = gamma.points[r], axis[r]
-        sine = norm(cross(pts, ax))
-        denom = norm(pts) * norm(ax)
-        block_maxima.append(np.max(sine / np.maximum(denom, 1e-12)))
-    cross_ratio = float(np.max(block_maxima))
+    # the axis is the modified Darboux vector, built block by block; the
+    # masked rows all have a frame
+    def sines(r):
+        pts, ax = gamma.points[r], _darboux(g, r)
+        return [norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)]
+
+    (cross_ratio,) = _masked_maxima(mask, sines)
 
     passed = bool(
         rect.is_rectifying

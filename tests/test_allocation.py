@@ -3,15 +3,18 @@ in units of one (n, 3) float64 array at n = 20001.
 
 Masked statistics select a one-run mask's rows through a view, the
 stencil and quadrature kernels write into one output array, the Frenet
-frame and the frame statistics run in row blocks (numerics._BLOCK_ROWS;
-n = 20001 is three blocks, each about 0.4 units), and the predicted frame
-of predicted_bar_data is built only when read.  So each peak counts the
-whole-array temporaries a call still makes.  The counts are deterministic
-for a given numpy; a change that brings back a full-array copy raises a
-peak by about one unit and fails its bound.  The bounds sit between the
-measured peaks and those of the code they replaced (verify_frame 6.7, then
-3.7 before blocking; mannheim_check 2.4; classify 3.4; predicted_bar_data
-4.8; frenet_apparatus 5.3 above the arrays it keeps).
+frame, the osculating-plane companion and every masked max statistic run
+in row blocks (numerics._BLOCK_ROWS; n = 20001 is three blocks, each about
+0.4 units), whatever the number of runs of the mask, and the predicted
+frame of predicted_bar_data is built only when read.  So each peak counts
+the whole-array temporaries a call still makes.  The counts are
+deterministic for a given numpy; a change that brings back a full-array
+copy raises a peak by about one unit and fails its bound.  The bounds sit
+between the measured peaks and those of the code they replaced
+(verify_frame 6.7, then 3.7 before blocking; mannheim_check 2.4; classify
+3.4; predicted_bar_data 4.8; frenet_apparatus 5.3 above the arrays it
+keeps; compare_predicted on a multi-run mask 1.0; verify_od_properties
+with its frame kept 5.4; od_osculating_curve 4.2).
 """
 
 import tracemalloc
@@ -22,6 +25,7 @@ import pytest
 from frenetdir.classify import classify
 from frenetdir.curves import evaluate_catalog
 from frenetdir.direction import (
+    compare_predicted,
     direction_field,
     integrate_direction_curve,
     mannheim_check,
@@ -31,6 +35,7 @@ from frenetdir.direction import (
 )
 from frenetdir.frenet import frenet_apparatus, verify_frame
 from frenetdir.numerics import uniform_grid
+from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 
 N = 20001
 UNIT = N * 3 * 8
@@ -69,6 +74,17 @@ def frames():
     return f, g
 
 
+@pytest.fixture(scope="module")
+def companion():
+    # the companion's ratio nears its pole twice near the start, so the
+    # mask of its checks has three runs
+    p = ODParameters(1.0, 1.0, 0.3)
+    donor = frenet_apparatus(evaluate_catalog("helix_12_5", grid=uniform_grid(0.0, 1000.0, N)))
+    gamma = od_osculating_curve(donor, p)
+    verify_od_properties(gamma, p)
+    return donor, gamma, p
+
+
 def test_verify_frame_copies_no_frame(frames):
     f, _ = frames
     assert traced_peak(lambda: verify_frame(f)) < 2.5
@@ -104,3 +120,22 @@ def test_integrate_direction_curve_stays_near_its_output(frames):
     X = direction_field(f, osculating_coefficients(f, PHASE))
     integrate_direction_curve(X)
     assert traced_peak(lambda: integrate_direction_curve(X)) <= 4.5
+
+
+def test_compare_predicted_gathers_no_rows_of_a_multi_run_mask(frames):
+    # |v| drops below the cos floor six times along this helix
+    f, g = frames
+    dc = osculating_coefficients(f, PHASE)
+    pb = predicted_bar_data(f, dc)
+    compare_predicted(g, pb, dc, cos_floor=0.05)
+    assert traced_peak(lambda: compare_predicted(g, pb, dc, cos_floor=0.05)) < 0.75
+
+
+def test_verify_od_properties_builds_no_axis_array(companion):
+    _, gamma, p = companion
+    assert traced_peak(lambda: verify_od_properties(gamma, p)) < 3.5
+
+
+def test_od_osculating_curve_writes_one_position_array(companion):
+    donor, _, p = companion
+    assert traced_peak(lambda: od_osculating_curve(donor, p)) < 4.0

@@ -1,7 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from frenetdir import numerics
 
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
@@ -27,7 +32,7 @@ from frenetdir.frenet import (
     frenet_apparatus,
     unit_speed_deviation,
 )
-from frenetdir.numerics import VectorSamples, uniform_grid
+from frenetdir.numerics import VectorSamples, _rows, uniform_grid
 
 from oracles import warped_helix
 
@@ -286,6 +291,49 @@ class TestCompareAgainstPrediction:
         pb = predicted_bar_data(f, dc)
         assert compare_predicted(g, pb, dc, atol=2e-4).passed
         assert compare_predicted(g, pb, dc, atol=2e-4, cos_floor=0.05).passed
+
+    @staticmethod
+    def gathered(g, pb, dc, cos_floor):
+        mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
+        dev_k = float(np.max(np.abs(g.kappa[mask] - np.abs(pb.kappa_bar_signed[mask]))))
+        dev_t = float(np.max(np.abs(g.tau[mask] - pb.tau_bar_signed[mask])))
+        return mask, dev_k, dev_t
+
+    def test_equals_gathered_rows_on_a_multi_run_mask(self):
+        # theta sweeps 20 rad: |v| drops below the floor six times, so the
+        # mask has seven runs over all three row blocks
+        f, dc, g = constructed("circular_helix", grid=uniform_grid(0.0, 40.0, 20001))
+        pb = predicted_bar_data(f, dc)
+        mask, dev_k, dev_t = self.gathered(g, pb, dc, 0.05)
+        runs = np.flatnonzero(np.diff(mask.astype(int)) == 1)
+        assert len(runs) >= 6 and runs[-1] > numerics._BLOCK_ROWS
+        report = compare_predicted(g, pb, dc, cos_floor=0.05)
+        assert (report.dev_kappa, report.dev_tau) == (dev_k, dev_t)
+        assert report.samples_used == int(mask.sum())
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_equals_gathered_rows_for_any_block_size(self, monkeypatch, block_rows):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block_rows)
+        f, dc, g = constructed("circular_helix", grid=uniform_grid(0.0, 40.0, 201))
+        pb = predicted_bar_data(f, dc)
+        mask, dev_k, dev_t = self.gathered(g, pb, dc, 0.05)
+        assert not isinstance(_rows(mask), slice)
+        report = compare_predicted(g, pb, dc, cos_floor=0.05)
+        assert (report.dev_kappa, report.dev_tau) == (dev_k, dev_t)
+
+    def test_rows_outside_the_mask_raise_no_warning(self):
+        # inf - inf on a boundary row and on a row below the cos floor
+        f, dc, g = constructed("circular_helix", grid=uniform_grid(0.0, 40.0, 201))
+        pb = predicted_bar_data(f, dc)
+        low = int(np.argmin(np.abs(dc.v)))
+        kappa, kappa_bar = g.kappa.copy(), pb.kappa_bar_signed.copy()
+        kappa[[1, low]] = kappa_bar[[1, low]] = np.inf
+        broken_g = FrenetData(g.grid, g.T, g.N, g.B, kappa, g.tau, g.frenet_valid, g.speed)
+        broken_pb = dataclasses.replace(pb, kappa_bar_signed=kappa_bar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_predicted(broken_g, broken_pb, dc, cos_floor=0.05)
+        assert report == compare_predicted(g, pb, dc, cos_floor=0.05)
 
     def test_numerical_tangent_matches_predicted(self):
         f, dc, g = constructed("circular_helix")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,27 @@ class TestNumpyReference:
             _assert_matches_numpy(*catalog_frenet(name, n))
 
 
+class TestLayout:
+    @pytest.mark.parametrize("name", ["helix_12_5", "root_curve"])
+    def test_points_of_any_layout_give_the_same_frame(self, name):
+        # the one-sided edge rows read the layout of the points, so the
+        # curve keeps a C-ordered copy whatever it is given
+        c, f = catalog_frenet(name)
+        wide = np.zeros((c.grid.n, 6))
+        wide[:, ::2] = c.points
+        for pts in (np.asfortranarray(c.points), wide[:, ::2]):
+            g = frenet_apparatus(CurveSamples(c.grid, pts))
+            for key in ("T", "N", "B", "kappa", "tau", "speed", "frenet_valid", "s"):
+                assert np.array_equal(getattr(g, key), getattr(f, key), equal_nan=True), key
+
+    def test_frame_is_stored_component_major(self):
+        _, f = catalog_frenet("circular_helix", n=201)
+        for a in (f.T, f.N, f.B):
+            assert a.shape == (201, 3)
+            assert a.T.flags.c_contiguous
+            assert not a.flags.writeable and not a.T.flags.writeable
+
+
 class TestVerifyFrame:
     def test_catalog_frames_pass(self):
         for name in ("circular_helix", "helix_12_5", "root_curve", "spherical_helix"):
@@ -240,6 +262,19 @@ class TestVerifyFrame:
         r = verify_frame(f, tol=1e-6)
         for key, x in expected.items():
             assert getattr(r, key) == float(np.max(np.abs(x))), key
+
+    def test_rows_outside_the_mask_raise_no_warning(self):
+        # inf - inf in the dot products of a row without a frame, inside
+        # the span of the valid rows
+        _, f = catalog_frenet("helix_12_5", n=201)
+        valid, T, N = f.frenet_valid.copy(), f.T.copy(), f.N.copy()
+        valid[100] = False
+        T[100], N[100] = np.inf, (1.0, 0.0, -1.0)
+        broken = FrenetData(f.grid, T, N, f.B, f.kappa, f.tau, valid, f.speed)
+        expected = verify_frame(FrenetData(f.grid, f.T, f.N, f.B, f.kappa, f.tau, valid, f.speed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_frame(broken) == expected
 
     def test_all_invalid_is_vacuous_pass(self):
         g = uniform_grid(0.0, 5.0, 51)

@@ -1,5 +1,6 @@
-"""Imported-but-unused names in the package, its tests and the demos, and
-public names that nothing outside the tests uses.
+"""Imported-but-unused names in the package, its tests and the demos,
+public names that nothing outside the tests uses, and row-wise dot
+products taken any other way than through numerics.rowdot.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -86,3 +87,16 @@ def test_every_export_is_used_outside_tests():
     for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]:
         used |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert [name for name in frenetdir.__all__ if name not in used] == []
+
+
+def test_every_row_dot_is_rowdot():
+    # einsum's rounding of a row-wise dot product follows the memory layout
+    # of its operands; rowdot fixes one order for every layout
+    pattern = 'einsum("ij,ij->i"'
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern in line.replace("'", '"').replace(" ", "")
+    ]
+    assert hits == []

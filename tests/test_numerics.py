@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from frenetdir.numerics import (
     cumulative_integral,
     derivative,
     norm,
+    rowdot,
     uniform_grid,
 )
 
@@ -209,13 +212,50 @@ class TestRowRanges:
                 for hi in range(lo + 1, 42):
                     assert np.array_equal(numerics._derivative(y, order, g.h, lo, hi), whole[lo:hi])
 
-    def test_blocks_cover_a_slice_and_keep_a_mask(self, monkeypatch):
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_output_of_any_layout_gets_the_same_rows(self, order):
+        # a component-major (3, rows) scratch read as (rows, 3), as
+        # frenet_apparatus passes it
+        g = uniform_grid(-1.0, 3.0, 41)
+        data = np.stack([np.sin(3 * g.values), g.values**5, np.cos(g.values)], axis=1)
+        whole = numerics._derivative(data, order, g.h)
+        scratch = np.empty((3, 50))
+        for lo, hi in [(0, 41), (0, 5), (3, 20), (36, 41)]:
+            out = scratch[:, :hi - lo].T
+            assert numerics._derivative(data, order, g.h, lo, hi, out) is out
+            assert np.array_equal(out, whole[lo:hi])
+
+    def test_blocks_cover_a_slice(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK_ROWS", 4)
         assert numerics._blocks(slice(3, 13)) == [slice(3, 7), slice(7, 11), slice(11, 13)]
         assert numerics._blocks(slice(3, 7)) == [slice(3, 7)]
-        mask = np.array([True, False, True])
-        blocks = numerics._blocks(mask)
-        assert len(blocks) == 1 and blocks[0] is mask
+
+
+class TestMaskedMaxima:
+    @pytest.mark.parametrize("block_rows", [1, 5, 64, 8192])
+    def test_equals_the_max_over_gathered_rows(self, monkeypatch, block_rows):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(2, 201))
+        mask = np.zeros(201, dtype=bool)
+        mask[[3, 4, 5, 90, 150, 151, 190]] = True
+        got = numerics._masked_maxima(mask, lambda rows: (x[rows], np.abs(y[rows])))
+        assert got == [float(np.max(x[mask])), float(np.max(np.abs(y[mask])))]
+
+    def test_nan_on_a_true_row_propagates(self):
+        x = np.arange(30.0)
+        x[12] = np.nan
+        mask = np.arange(30) > 5
+        assert np.isnan(numerics._masked_maxima(mask, lambda rows: [x[rows]])[0])
+
+    def test_rows_outside_the_mask_never_count_nor_warn(self):
+        x = np.array([np.inf, 1.0, 2.0, -np.inf, 3.0, np.nan, 0.5])
+        mask = np.array([False, True, True, False, True, False, True])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # inf * 0 on the rows outside the mask
+            got = numerics._masked_maxima(mask, lambda rows: [x[rows] * 0.0 + x[rows]])
+        assert got == [3.0]
 
 
 class TestRows:
@@ -272,6 +312,17 @@ class TestRowKernels:
         assert np.array_equal(got_cross, expected_cross, equal_nan=True)
         assert np.array_equal(norm(a), np.linalg.norm(a, axis=1), equal_nan=True)
         assert np.array_equal(norm(b), np.linalg.norm(b, axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 201, 200001])
+    @pytest.mark.parametrize("layout", ["C", "masked", "strided", "F"])
+    def test_rowdot_bit_identical_to_einsum_on_c_rows(self, n, layout):
+        # einsum itself rounds differently on F-ordered rows; rowdot
+        # keeps the C-row bits in every layout
+        a, b = _row_vectors(n, n)[layout]
+        with np.errstate(invalid="ignore"):
+            expected = np.einsum("ij,ij->i", np.ascontiguousarray(a), np.ascontiguousarray(b))
+            got = rowdot(a, b)
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 def _cumulative_1d_gather(y, h, initial):

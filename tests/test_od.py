@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frenetdir import numerics, od
 from frenetdir.classify import RATIO_FLOOR, _resolved_ratio
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
@@ -13,7 +15,7 @@ from frenetdir.direction import (
     osculating_coefficients,
 )
 from frenetdir.errors import DomainError
-from frenetdir.frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation
+from frenetdir.frenet import UNIT_SPEED_TOL, FrenetData, frenet_apparatus, unit_speed_deviation
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
@@ -345,6 +347,51 @@ class TestVerify:
         pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
         expected = np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12))
         assert verify_od_properties(gamma, p).cross_ratio == float(expected)
+
+    @staticmethod
+    def gathered_cross_ratio(gamma):
+        g = frenet_apparatus(gamma)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
+        return mask, float(np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)))
+
+    def test_cross_ratio_equals_gathered_rows_on_a_multi_run_mask(self):
+        # the companion's ratio nears its pole twice near the start, so
+        # the mask has three runs, the last over all three row blocks
+        p = ODParameters(1.0, 1.0, 0.3)
+        gamma = od_osculating_curve(donor("helix_12_5", 0.0, 1000.0, 20001), p)
+        mask, expected = self.gathered_cross_ratio(gamma)
+        runs = np.flatnonzero(np.diff(mask.astype(int)) == 1)
+        assert len(runs) >= 2 and mask[numerics._BLOCK_ROWS:].any()
+        assert verify_od_properties(gamma, p).cross_ratio == expected
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_cross_ratio_equals_gathered_rows_for_any_block_size(self, monkeypatch, block_rows):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block_rows)
+        p = ODParameters(1.0, 1.0, 0.3)
+        gamma = od_osculating_curve(donor("helix_12_5", 0.0, 169.0, 201), p)
+        mask, expected = self.gathered_cross_ratio(gamma)
+        assert not isinstance(_rows(mask), slice)
+        assert verify_od_properties(gamma, p).cross_ratio == expected
+
+    def test_rows_outside_the_mask_raise_no_warning(self, monkeypatch):
+        # inf - inf in the modified Darboux vector of a row near the
+        # ratio's pole, between two runs of the mask
+        p = ODParameters(1.0, 1.0, 0.3)
+        gamma = od_osculating_curve(donor("helix_12_5", 0.0, 169.0, 201), p)
+        g = frenet_apparatus(gamma)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        row = int(np.argmax(mask)) + int(np.argmin(mask[np.argmax(mask):]))
+        assert not mask[row] and mask[row:].any()
+        T, B = g.T.copy(), g.B.copy()
+        T[row], B[row] = np.inf, -np.sign(g.ratio[row]) * np.inf
+        broken = FrenetData(g.grid, T, g.N, B, g.kappa, g.tau, g.frenet_valid, g.speed)
+        monkeypatch.setattr(od, "frenet_apparatus", lambda c: broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_od_properties(gamma, p)
+        monkeypatch.undo()
+        assert report == verify_od_properties(gamma, p)
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError, match="tol"):
