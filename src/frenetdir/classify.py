@@ -166,17 +166,21 @@ def _fit_line(s: np.ndarray, ratio: np.ndarray, who: str) -> LineFit:
     matrix and solves it by SVD, at about ten times the cost of those
     passes on large curves.  Fewer than two samples, or samples that all
     share one s, raise DomainError.
+
+    The two sums are einsum reductions, not np.dot: np.dot is a BLAS call
+    whose bits follow the BLAS thread count (OPENBLAS_NUM_THREADS), and
+    einsum's own loop gives the same bits under any setting.
     """
     if s.size < 2:
         raise DomainError(f"{who}: a line fit needs 2 usable samples, got {s.size}")
     s_bar = s.mean()
     r_bar = ratio.mean()
     ds = s - s_bar
-    sxx = np.dot(ds, ds)
+    sxx = np.einsum("i,i->", ds, ds)
     # ptp catches equal samples whose mean rounds off their common value
     if not (sxx > 0 and np.ptp(s) > 0):
         raise DomainError(f"{who}: a line fit needs distinct arc-length values")
-    slope = float(np.dot(ds, ratio - r_bar) / sxx)
+    slope = float(np.einsum("i,i->", ds, ratio - r_bar) / sxx)
     intercept = float(r_bar - slope * s_bar)
     residual = float(np.max(np.abs(ratio - (slope * s + intercept))))
     return LineFit(slope=slope, intercept=intercept, max_residual=residual)

@@ -1,11 +1,16 @@
 import importlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frenetdir
 from frenetdir.classify import (
     _fit_line,
     classify,
@@ -353,6 +358,27 @@ class TestFitLine:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="probe: a line fit needs distinct"):
                 _fit_line(np.full(7, value), np.arange(7.0), "probe")
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a sum threaded over two BLAS workers rounds differently from one;
+        # the thread count is read when numpy loads, so each runs in a child
+        code = (
+            "import numpy as np\n"
+            "from frenetdir.classify import _fit_line\n"
+            "s = np.linspace(0.0, 1000.0, 200001)\n"
+            "r = 0.3 * s + np.random.default_rng(3).normal(size=s.size)\n"
+            "fit = _fit_line(s, r, 'probe')\n"
+            "print(fit.slope.hex(), fit.intercept.hex(), fit.max_residual.hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(frenetdir.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_two_samples_are_enough(self):
         fit = _fit_line(np.array([1.0, 3.0]), np.array([2.0, 6.0]), "probe")
