@@ -41,8 +41,9 @@ layout; the two operations whose bits follow the layout are pinned.  The
 row-wise dot product is rowdot, which adds the products in one fixed
 order, (a0 b0 + a2 b2) + a1 b1: the order np.einsum takes for the
 subscripts "ij,ij->i" on C-ordered rows (on other layouts einsum rounds
-about a quarter of the rows differently).  The one-sided derivative rows read the layout of the
-points, which CurveSamples always stores C-ordered (see derivative).
+about a quarter of the rows differently).  The one-sided derivative rows
+read the layout of the points, which CurveSamples always stores
+C-ordered (see derivative).
 
 A max statistic over the True rows of a mask (_masked_maxima) reduces
 block by block over the span from the first to the last True row, with
