@@ -41,9 +41,7 @@ class CurveSamples:
     so later writes to the caller's array cannot change the curve, nor the
     Frenet apparatus that frenet_apparatus computes once per curve and
     keeps.  The copy is C-ordered whatever the layout of the caller's
-    array, because the one-sided derivative rows at both ends of the
-    curve read that layout (see numerics.derivative): the same points give
-    the same frame bit for bit.
+    array, so every pass over the points reads contiguous rows.
     """
 
     grid: Grid

@@ -51,7 +51,7 @@ class FrenetData:
     frenet_valid is false where the curvature is below KAPPA_FLOOR; N, B,
     and tau hold NaN there.  Accuracy statements hold on valid_interior():
     the first and last BOUNDARY_MARGIN rows come from one-sided stencils of
-    the same truncation order but carry roundoff of order
+    a higher truncation order but carry roundoff of order
     sum|w| * ulp(|p|) / h^k, which for tau (k = 3) is far above the
     interior error on fine grids of curves far from the origin.
 

@@ -37,13 +37,13 @@ as three contiguous rows of a (3, rows) array and is read through the
 (rows, 3) view of it, so a ufunc over a block runs one long contiguous
 inner loop per component rather than loops of length 3 over strided
 columns.  An elementwise operation gives the same bits in any memory
-layout; the two operations whose bits follow the layout are pinned.  The
-row-wise dot product is rowdot, which adds the products in one fixed
+layout; the one operation whose bits would follow the layout is pinned.
+The row-wise dot product is rowdot, which adds the products in one fixed
 order, (a0 b0 + a2 b2) + a1 b1: the order np.einsum takes for the
 subscripts "ij,ij->i" on C-ordered rows (on other layouts einsum rounds
 about a quarter of the rows differently).  The one-sided derivative rows
-read the layout of the points, which CurveSamples always stores
-C-ordered (see derivative).
+weight a new contiguous array of differences, so they too give the same
+bits in every layout (see derivative).
 
 A max statistic over the True rows of a mask (_masked_maxima) reduces
 block by block over the span from the first to the last True row, with
@@ -251,23 +251,40 @@ def norm(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2, out=out)
 
 
-def _stencil(offsets: np.ndarray, order: int) -> np.ndarray:
+def _stencil(offsets: np.ndarray, order: int, degree: int | None = None) -> np.ndarray:
     """Finite-difference weights on integer offsets for the given derivative
-    order, exact for polynomials up to degree len(offsets)-1."""
+    order, exact for polynomials up to degree (default len(offsets)-1, where
+    the weights are unique).  A lower degree leaves spare offsets, and the
+    weights are then the exact ones of least 2-norm: the extra samples
+    lower the roundoff the row amplifies instead of its truncation order."""
     m = len(offsets)
-    A = np.vander(np.asarray(offsets, dtype=float), m, increasing=True).T
-    rhs = np.zeros(m)
+    degree = m - 1 if degree is None else degree
+    A = np.vander(np.asarray(offsets, dtype=float), degree + 1, increasing=True).T
+    rhs = np.zeros(degree + 1)
     rhs[order] = factorial(order)
-    return np.linalg.solve(A, rhs)
+    if degree == m - 1:
+        return np.linalg.solve(A, rhs)
+    # least-norm solution of A w = rhs through A.T = QR: w = Q R^-T rhs
+    q, r = np.linalg.qr(A.T)
+    return q @ np.linalg.solve(r.T, rhs)
 
 
 # Interior half-widths: 5-point stencils for orders 1-2, 7-point for order 3.
 _HALF = {1: 2, 2: 2, 3: 3}
-# One-sided window sizes keeping every boundary row at truncation order
-# O(h^4) or better.  Order 1 takes a sixth point: the 5-point edge row is
-# O(h^4) in theory but its error constant leaves it pre-asymptotic on
-# coarse grids (a 41 -> 81 error ratio near 10 rather than 16).
-_EDGE_WINDOW = {1: 6, 2: 6, 3: 7}
+# One-sided windows: the samples each boundary row reads, and the degree
+# up to which its weights are exact.  The O(h^4) rows of the smallest
+# windows (5, 6 and 7 samples) have error constants that leave them
+# pre-asymptotic on coarse grids: two-frequency waves on [0, 1.5] give
+# 41 -> 81 error ratios of 10.9 for order 1, 11.2 for order 2 and down
+# to 3.6 for order 3, rather than 16.  Each order therefore takes one
+# more degree, O(h^5).  Order 3 would need 8 samples, whose weight sum
+# (455 on the outermost row, against 208 for 7) doubles the roundoff on
+# fine grids; it reads 9 samples instead, with the least-norm weights
+# exact to degree 7 (sum 217, a smaller 2-norm than the 7-sample row).
+# The worst 41 -> 81 ratio on those waves is then 15 for order 1, 15.9
+# for order 2 and 21.9 for order 3.
+_EDGE_WINDOW = {1: 6, 2: 7, 3: 9}
+_EDGE_DEGREE = {1: 5, 2: 6, 3: 7}
 
 
 @cache
@@ -276,10 +293,10 @@ def _weights(order: int):
     the one-sided rows for the first and for the last _HALF[order] samples
     (tail[i] serves sample n-1-i).  Solved on first use; read-only."""
     half = _HALF[order]
-    win = _EDGE_WINDOW[order]
+    win, degree = _EDGE_WINDOW[order], _EDGE_DEGREE[order]
     center = _stencil(np.arange(-half, half + 1), order)
-    head = [_stencil(np.arange(win) - i, order) for i in range(half)]
-    tail = [_stencil(np.arange(win) - (win - 1 - i), order) for i in range(half)]
+    head = [_stencil(np.arange(win) - i, order, degree) for i in range(half)]
+    tail = [_stencil(np.arange(win) - (win - 1 - i), order, degree) for i in range(half)]
     for w in (center, *head, *tail):
         w.flags.writeable = False
     return center, tuple(head), tuple(tail)
@@ -290,10 +307,10 @@ def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None
     """Rows lo..hi-1 of the stencil derivative of (n,) or (n, 3) data, one
     column at a time into one output array: out if given (of any layout),
     else a new C-ordered one.  Each column is read through its own
-    (possibly strided) view of y: see derivative on why the layout
-    matters.  Every row is bit-identical to the same row of the whole-array
-    call: a central row correlates the same window of the column whatever
-    slice it is read from, and a one-sided row reads the same view."""
+    (possibly strided) view of y.  Every row is bit-identical to the same
+    row of the whole-array call: a central row correlates the same window
+    of the column whatever slice it is read from, and a one-sided row
+    weights the same differences."""
     n = y.shape[0]
     hi = n if hi is None else hi
     center, head, tail = _weights(order)
@@ -308,9 +325,9 @@ def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None
         if a < b:
             dst[a - lo:b - lo] = np.correlate(col[a - half:b + half], center, mode="valid")
         for i in range(lo, min(hi, half)):
-            dst[i - lo] = head[i] @ col[:win]
+            dst[i - lo] = head[i] @ (col[:win] - col[i])
         for j in range(max(lo, n - half), hi):
-            dst[j - lo] = tail[n - 1 - j] @ col[n - win:]
+            dst[j - lo] = tail[n - 1 - j] @ (col[n - win:] - col[j])
     out /= h**order
     return out
 
@@ -329,22 +346,21 @@ def derivative(f, order: int):
     Samples of the same kind holding the order-th derivative.  The stencil
     weights of each order are solved once and reused across calls.  Interior
     points are O(h^4); the first and last two rows (three for order 3, all
-    within BOUNDARY_MARGIN) use one-sided windows of the same truncation
-    order.  Their roundoff is of order sum|w| * ulp(max|f|) / h^order, with
-    sum|w| = 208 on the outermost order-3 row against 5.5 for the central
-    stencil, so on fine grids of data far from the origin those rows are
-    roundoff-dominated.  Accuracy statements hold on the interior rows
-    (FrenetData.valid_interior).
+    within BOUNDARY_MARGIN) use one-sided windows of truncation order
+    O(h^5) (see _EDGE_WINDOW).  A one-sided row weights the differences of
+    its window against its own sample: the weights sum to zero, but once
+    rounded they do not exactly, and weighting the samples themselves
+    would add that residue times |f|, over h^order.  The rounding the
+    samples carry still gives those rows roundoff of order
+    sum|w| * ulp(max|f|) / h^order, with sum|w| = 217 on the outermost
+    order-3 row against 5.5 for the central stencil, so on fine grids of
+    data far from the origin they are roundoff-dominated.  Accuracy
+    statements hold on the interior rows (FrenetData.valid_interior).
 
-    The bits of the boundary rows depend on the memory layout of the column
-    they read (a dot product over a strided view and over a contiguous copy
-    of the same numbers can differ in the last bit); the interior rows do
-    not.  Vector data is therefore read through strided column views of
-    f.data, never a transposed or contiguous copy, so each column of a
-    vector derivative is bit-identical to the scalar derivative of that
-    column view.  CurveSamples stores its points C-ordered, so the frame
-    of a curve does not depend on the layout of the array it was built
-    from.
+    Every row gives the same bits whatever the memory layout of f.data:
+    the central rows correlate a column view, and the one-sided rows
+    weight a new contiguous array of differences.  Each column of a vector
+    derivative is bit-identical to the scalar derivative of that column.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")

@@ -193,8 +193,8 @@ class TestNumpyReference:
 class TestLayout:
     @pytest.mark.parametrize("name", ["helix_12_5", "root_curve"])
     def test_points_of_any_layout_give_the_same_frame(self, name):
-        # the one-sided edge rows read the layout of the points, so the
-        # curve keeps a C-ordered copy whatever it is given
+        # F-ordered and strided points give the frame of the C-ordered
+        # ones, edge rows included
         c, f = catalog_frenet(name)
         wide = np.zeros((c.grid.n, 6))
         wide[:, ::2] = c.points

@@ -117,6 +117,35 @@ class TestDerivative:
 
         assert err(41) / err(81) >= 12.0
 
+    @pytest.mark.parametrize("b, c, w1, w2", [(1.0, 1.0, 2.0, 2.5), (0.5, 2.0, 2.4, 2.4), (1.5, 1.0, 2.5, 2.875)])
+    def test_third_derivative_edge_rows_converge_on_two_waves(self, b, c, w1, w2):
+        # two-frequency waves on which the 7-point one-sided order-3 row
+        # was still pre-asymptotic at n = 41 (41 -> 81 ratios 10.0, 3.6
+        # and 10.4); every row, edges included, must shrink by >= 12
+        def err(n):
+            g = uniform_grid(0.0, 1.5, n)
+            s = g.values
+            d = derivative(ScalarSamples(g, b * np.sin(w1 * s) + c * np.cos(w2 * s)), 3)
+            exact = -b * w1**3 * np.cos(w1 * s) + c * w2**3 * np.sin(w2 * s)
+            return np.max(np.abs(d.data - exact))
+
+        assert err(41) / err(81) >= 12.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_edge_rows_ignore_an_offset_of_the_data(self, order):
+        # one-sided rows weight the differences against their own sample,
+        # so an offset cancels exactly (these samples and differences are
+        # exact in binary) instead of leaving the weights' rounding times
+        # the offset over h^order: 31.7 for the order-3 rows of this line
+        # when the offset was weighted in
+        g = uniform_grid(0.0, 1.0, 2049)
+        half = numerics._HALF[order]
+        edges = [
+            derivative(ScalarSamples(g, 3.0 * g.values + offset), order).data[[*range(half), *range(-half, 0)]]
+            for offset in (0.0, 1e6)
+        ]
+        assert np.array_equal(edges[0], edges[1])
+
     def test_vector_matches_columnwise_scalar(self):
         s = self.g.values
         data = np.stack([np.sin(s), np.cos(s), s**3], axis=1)
@@ -140,11 +169,11 @@ def _derivative_1d_solving(y, order, h):
     center = numerics._stencil(np.arange(-half, half + 1), order)
     out = np.empty(n)
     out[half:n - half] = np.correlate(y, center, mode="valid")
-    win = numerics._EDGE_WINDOW[order]
+    win, degree = numerics._EDGE_WINDOW[order], numerics._EDGE_DEGREE[order]
     for i in range(half):
-        out[i] = numerics._stencil(np.arange(win) - i, order) @ y[:win]
+        out[i] = numerics._stencil(np.arange(win) - i, order, degree) @ (y[:win] - y[i])
         j = n - 1 - i
-        out[j] = numerics._stencil(np.arange(win) - (win - 1 - i), order) @ y[n - win:]
+        out[j] = numerics._stencil(np.arange(win) - (win - 1 - i), order, degree) @ (y[n - win:] - y[j])
     return out / h**order
 
 
@@ -152,12 +181,13 @@ class TestWeightTable:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_rows_equal_fresh_solves(self, order):
         half, win = numerics._HALF[order], numerics._EDGE_WINDOW[order]
+        degree = numerics._EDGE_DEGREE[order]
         center, head, tail = numerics._weights(order)
         assert np.array_equal(center, numerics._stencil(np.arange(-half, half + 1), order))
         assert len(head) == len(tail) == half
         for i in range(half):
-            assert np.array_equal(head[i], numerics._stencil(np.arange(win) - i, order))
-            assert np.array_equal(tail[i], numerics._stencil(np.arange(win) - (win - 1 - i), order))
+            assert np.array_equal(head[i], numerics._stencil(np.arange(win) - i, order, degree))
+            assert np.array_equal(tail[i], numerics._stencil(np.arange(win) - (win - 1 - i), order, degree))
 
     def test_rows_are_read_only(self):
         center, head, tail = numerics._weights(3)
@@ -224,6 +254,16 @@ class TestRowRanges:
             out = scratch[:, :hi - lo].T
             assert numerics._derivative(data, order, g.h, lo, hi, out) is out
             assert np.array_equal(out, whole[lo:hi])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_input_of_any_layout_gets_the_same_rows(self, order):
+        g = uniform_grid(-1.0, 3.0, 41)
+        data = np.stack([np.sin(3 * g.values), g.values**5, np.cos(g.values)], axis=1)
+        wide = np.zeros((41, 6))
+        wide[:, ::2] = data
+        whole = numerics._derivative(data, order, g.h)
+        for y in (np.asfortranarray(data), wide[:, ::2]):
+            assert np.array_equal(numerics._derivative(y, order, g.h), whole)
 
     def test_blocks_cover_a_slice(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK_ROWS", 4)

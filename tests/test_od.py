@@ -200,7 +200,7 @@ class TestModifiedDarboux:
     def test_helix_12_5_axis(self):
         # checked on the rows the library vouches for: the one-sided
         # third-derivative rows at each end carry torsion roundoff of order
-        # sum|w| * ulp(|p|) / h^3, which reaches ~1.5e-7 in tau/kappa at the
+        # sum|w| * ulp(|p|) / h^3, which reaches ~8e-8 in tau/kappa at the
         # last row of this grid (see numerics.BOUNDARY_MARGIN)
         f = donor("helix_12_5")
         ref = (5.0 / 12.0) * f.T + f.B
