@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -363,7 +364,10 @@ def cmd_verify(args):
     return 0 if passed == len(rows) else 3
 
 
+@cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was, and
+    # the config file and FD_CONFIG are still read on every call
     parser = _Parser(prog="frenetdir", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True

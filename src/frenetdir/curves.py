@@ -8,7 +8,9 @@ its evaluator substitutes the exact inverse of the arc-length function first.
 """
 
 import csv as _csv
+import io
 from dataclasses import dataclass
+from itertools import chain
 from math import cos, isfinite, pi, sqrt
 
 import numpy as np
@@ -201,38 +203,56 @@ def load_csv(path) -> CurveSamples:
 
     A strictly increasing, uniform s column becomes the grid parameter,
     arc length or not; a non-uniform s column, or none, gives the sample
-    index 0..n-1 as the parameter.
+    index 0..n-1 as the parameter.  Fields may be quoted and are read as
+    float() reads them (`1_000` and surrounding spaces included); blank
+    lines are skipped.  A malformed file raises DomainError naming its
+    first faulty line, blank lines counted.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # a fault the reader stops at is raised after the lines before it
+    # are checked, so that the first fault in the file is the one named
+    fault = None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at \n, \r and \r\n, as the reader does
+        lines = raw[: exc.start].splitlines(keepends=True)
+        if lines and not lines[-1].endswith((b"\n", b"\r")):
+            lines.pop()
+        text = b"".join(lines).decode("utf-8")
+        fault = DomainError(f"{path}: line {len(lines) + 1}: not UTF-8 text")
+    records = []
+    try:
+        records.extend(_csv.reader(io.StringIO(text, newline="")))
+    except _csv.Error as exc:
+        fault = DomainError(f"{path}: line {len(records) + 1}: {exc}")
+    if not records:
+        raise fault or DomainError(f"{path}: empty file")
+    header = [col.strip() for col in records[0]]
+    if header == ["s", "x", "y", "z"]:
+        has_s = True
+    elif header == ["x", "y", "z"]:
+        has_s = False
+    else:
+        raise DomainError(f"{path}: line 1: header must be s,x,y,z or x,y,z, got {','.join(header)}")
+    width = 4 if has_s else 3
+    records = records[1:]
+    rows = list(filter(None, records))
+    data = None
+    if set(map(len, rows)) <= {width}:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        header = [col.strip() for col in header]
-        if header == ["s", "x", "y", "z"]:
-            has_s = True
-        elif header == ["x", "y", "z"]:
-            has_s = False
-        else:
-            raise DomainError(f"{path}: line 1: header must be s,x,y,z or x,y,z, got {','.join(header)}")
-        width = 4 if has_s else 3
-        rows = []
-        linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
-            linenos.append(lineno)
-    data = np.asarray(rows, dtype=float).reshape(-1, width)
+            fields = map(float, chain.from_iterable(rows))
+            data = np.fromiter(fields, float, len(rows) * width).reshape(-1, width)
+        except ValueError:
+            pass
+    if data is None or fault:
+        _raise_first_fault(path, records, width)
+        raise fault
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        raise DomainError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite field")
+        lineno = _line_number(records, int(np.argmin(finite)))
+        raise DomainError(f"{path}: line {lineno}: non-finite field")
     n = len(rows)
     if n < MIN_SAMPLES:
         raise DomainError(f"{path}: fewer than {MIN_SAMPLES} samples (got {n})")
@@ -248,6 +268,27 @@ def load_csv(path) -> CurveSamples:
             return CurveSamples(grid=Grid(float(s[0]), float(s[-1]), n), points=data[:, 1:])
         return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data[:, 1:])
     return CurveSamples(grid=Grid(0.0, float(n - 1), n), points=data)
+
+
+def _line_number(records, i):
+    """File line of the i-th non-blank record after the header (line 1)."""
+    return [k for k, row in enumerate(records, start=2) if row][i]
+
+
+def _raise_first_fault(path, records, width):
+    """Walk the records in file order and raise DomainError at the first
+    one of the wrong width or with a field float() rejects.  The bulk
+    conversion in load_csv applies the same float() to the same fields,
+    so when it failed this walk raises."""
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            [float(v) for v in row]
+        except ValueError:
+            raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
 
 
 def _write_rows(path, header, table: np.ndarray) -> None:

@@ -63,6 +63,8 @@ class DirectionCoefficients:
     theta accumulates the donor curvature over arc length from the grid
     start, so theta[0] == phase_c.  degeneracy_flags marks samples where
     either coefficient is too close to zero for the classification premises.
+    osculating_coefficients hands one instance to every caller asking for
+    the same frame and phase, so the arrays are read-only.
     """
 
     grid: Grid
@@ -74,19 +76,26 @@ class DirectionCoefficients:
 
 
 def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficients:
+    """theta, u = sin(theta) and v = cos(theta) along the donor.
+
+    The result is kept on the FrenetData instance and returned as is by
+    the next call with the same float(phase_c), as frenet_apparatus keeps
+    one frame per curve.  One set is kept, that of the last phase asked
+    for, so a sweep over phases holds no more than one."""
     _require_valid(f, "osculating_coefficients")
+    phase_c = float(phase_c)
+    dc = f.__dict__.get("_coefficients")
+    # bits, not ==: -0.0 gives theta[0] and u[0] the other sign than 0.0
+    if dc is not None and dc.phase_c.hex() == phase_c.hex():
+        return dc
     theta = cumulative_integral(ScalarSamples(f.grid, f.kappa * f.speed), initial=phase_c).data
     u = np.sin(theta)
     v = np.cos(theta)
     flags = (np.abs(u) < DEGENERACY_FLOOR) | (np.abs(v) < DEGENERACY_FLOOR)
-    return DirectionCoefficients(
-        grid=f.grid,
-        theta=theta,
-        u=u,
-        v=v,
-        phase_c=float(phase_c),
-        degeneracy_flags=flags,
-    )
+    for a in (theta, u, v, flags):
+        a.flags.writeable = False
+    f.__dict__["_coefficients"] = dc = DirectionCoefficients(f.grid, theta, u, v, phase_c, flags)
+    return dc
 
 
 def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:

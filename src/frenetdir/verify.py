@@ -19,7 +19,7 @@ from .classify import (
     general_helix_test,
     slant_helix_test,
 )
-from .curves import CurveSamples, catalog_names, evaluate_catalog
+from .curves import CurveSamples, catalog_entry, catalog_names, default_grid, evaluate_catalog
 from .direction import (
     direction_field,
     donor_from_direction,
@@ -68,9 +68,11 @@ def _row(check, curve, deviation, tolerance, exceeds=False, passed=None):
 
 
 def _curve(ctx, name, lo=None, hi=None, n=2001):
-    key = (name, lo, hi, n)
+    # keyed on the resolved grid, so a window spelling out the default
+    # domain shares the default curve
+    grid = default_grid(catalog_entry(name)) if lo is None else uniform_grid(lo, hi, n)
+    key = (name, grid)
     if key not in ctx:
-        grid = None if lo is None else uniform_grid(lo, hi, n)
         ctx[key] = evaluate_catalog(name, grid=grid)
     return ctx[key]
 
@@ -81,9 +83,9 @@ def _frenet(ctx, name, lo=None, hi=None, n=2001):
 
 
 def _pair(ctx, name, phase, lo=None, hi=None, n=2001):
-    key = ("pair", name, phase, lo, hi, n)
+    f = _frenet(ctx, name, lo, hi, n)
+    key = ("pair", name, f.grid, phase)
     if key not in ctx:
-        f = _frenet(ctx, name, lo, hi, n)
         dc = osculating_coefficients(f, phase)
         g = frenet_apparatus(osculating_direction_curve(f, phase))
         ctx[key] = (f, dc, g)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import frenetdir
+from frenetdir import verify as verify_module
 from frenetdir.cli import _OPTIONS, _build_parser, _resolve_config, main
+from frenetdir.curves import evaluate_catalog
 from frenetdir.verify import run_checks
 
 from oracles import WARPED_HELICES, warped_helix
@@ -72,6 +74,25 @@ def test_runs_as_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert "circular_helix" in [e["name"] for e in json.loads(proc.stdout)]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "warped.csv"
+        write_xyz_csv(path, warped_helix(*WARPED_HELICES[0])[0])
+        out = tmp_path / "out.csv"
+        argv = ["direct", "--input", str(path), "--output", str(out)]
+        first = run(capsys, *argv)
+        first_file = out.read_bytes()
+        principal = run(capsys, *argv, "--family", "principal", "--phase-c", "0.3")
+        assert principal[0] == 0 and principal[1].startswith("family: principal  phase: 0.3\n")
+        assert out.read_bytes() != first_file
+        assert run(capsys, *argv) == first
+        assert first[1].startswith("family: osculating  phase: 0\n")
+        assert out.read_bytes() == first_file
 
 
 class TestConfigResolution:
@@ -472,6 +493,18 @@ class TestVerify:
         assert code == 3
         assert "0/2 checks passed" in out
 
+    def test_each_curve_built_once_per_grid(self, monkeypatch):
+        built = []
+
+        def counted(name, parameters=None, grid=None):
+            built.append((name, grid))
+            return evaluate_catalog(name, parameters, grid)
+
+        monkeypatch.setattr(verify_module, "evaluate_catalog", counted)
+        run_checks()
+        assert all(grid is not None for _, grid in built)
+        assert len(built) == len(set(built))
+
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "thm9.9")
         assert code == 1
@@ -494,6 +527,18 @@ class TestCsvInput:
         assert code == 1
         assert out == ""
         assert err == f"error: cannot read input file {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    def test_undecodable_bytes_are_domain_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        write_line_csv(path, n=11)
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b",0,0", b",0,caf\xe9")
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: line 6: not UTF-8 text\n"
 
     @pytest.mark.parametrize("command", CURVE_COMMANDS)
     def test_repeated_samples_are_degenerate(self, tmp_path, capsys, command):

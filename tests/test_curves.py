@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -190,6 +192,66 @@ class TestCsvRoundTrip:
         pts[7, 0] = value
         with pytest.raises(DomainError, match=r"sample 5 \(s=5\)"):
             CurveSamples(g, pts)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_bytes_name_the_line(self, tmp_path, eol):
+        p = tmp_path / "latin1.csv"
+        rows = "".join(f"{i},0,0{eol}" for i in range(9)).encode()
+        p.write_bytes(f"x,y,z{eol}".encode() + rows + f"1,caf\xe9,2{eol}".encode("latin-1") + rows)
+        with pytest.raises(DomainError, match="line 11: not UTF-8 text"):
+            load_csv(p)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({5: "4,oops,3", 9: "1,2"}, "line 5: non-numeric field"),
+            ({5: "1,2", 9: "4,oops,3"}, "line 5: expected 3 fields, got 2"),
+            # finiteness is checked once every field has converted
+            ({4: "nan,1,2", 8: "4,oops,3"}, "line 8: non-numeric field"),
+            # an undecodable line is a fault in its place, too
+            ({4: "1,2", 7: "caf\xe9,1,2"}, "line 4: expected 3 fields, got 2"),
+            ({4: "caf\xe9,1,2", 7: "1,2"}, "line 4: not UTF-8 text"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, faults, message):
+        # line 3 is blank and still counts
+        lines = ["x,y,z", "0,0,0", ""] + [f"{i},0,0" for i in range(1, 12)]
+        for lineno, text in faults.items():
+            lines[lineno - 1] = text
+        p = tmp_path / "faults.csv"
+        p.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(DomainError, match=message):
+            load_csv(p)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "".join(f"{i}_000,1_0,0\n" for i in range(9)),
+            "".join(f" {i} ,\t{i * i}\t, -{i}e-3 \n" for i in range(9)),
+            "".join(f'"{i}","{i}.5",0\n' for i in range(9)),
+            "".join(f"{i},{i},-0\n\n" for i in range(9)),
+            "\n".join(f"{i},٣,{i}" for i in range(11)) + "\r\n",
+        ],
+        ids=["underscores", "padded", "quoted", "blank-lines", "unicode-digit"],
+    )
+    def test_fields_read_as_float_reads_them(self, tmp_path, body):
+        p = tmp_path / "spellings.csv"
+        p.write_text("x,y,z\n" + body, encoding="utf-8")
+        rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+        expected = np.array([[float(v) for v in row] for row in rows])
+        c = load_csv(p)
+        assert np.array_equal(c.points, expected)
+        assert np.signbit(c.points).tolist() == np.signbit(expected).tolist()
+        assert c.grid == uniform_grid(0.0, len(rows) - 1.0, len(rows))
+
+    def test_quoted_s_column_sets_the_grid(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        body = "".join(f'"{0.25 * i}", {i} ,0,"1_0"\n\n' for i in range(9))
+        p.write_text("s,x,y,z\n" + body, encoding="utf-8")
+        c = load_csv(p)
+        assert c.grid == uniform_grid(0.0, 2.0, 9)
+        assert np.array_equal(c.points[:, 0], np.arange(9.0))
+        assert np.all(c.points[:, 2] == 10.0)
 
     def test_xyz_only_is_not_unit_speed(self, tmp_path):
         p = tmp_path / "xyz.csv"

@@ -108,6 +108,32 @@ class TestOsculatingCoefficients:
         with pytest.raises(DomainError, match=r"curvature below floor.* on \[0, 1\]"):
             osculating_coefficients(f, 0.0)
 
+    def test_one_set_per_frame_and_phase(self):
+        f, dc = donor("circular_helix", phase=0.3)
+        assert osculating_coefficients(f, 0.3) is dc
+        assert osculating_coefficients(f, np.float64(0.3)) is dc
+        assert osculating_coefficients(f, 0.4).phase_c == 0.4
+        # only the last phase is kept, so a phase sweep holds one set;
+        # the earlier phase comes back computed again, to the same bits
+        again = osculating_coefficients(f, 0.3)
+        assert again is not dc
+        for name in ("theta", "u", "v", "degeneracy_flags"):
+            assert np.array_equal(getattr(again, name), getattr(dc, name))
+
+    def test_arrays_are_read_only(self):
+        f, dc = donor("circular_helix", phase=0.3)
+        for a in (dc.theta, dc.u, dc.v, dc.degeneracy_flags):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_signed_zero_phases_kept_apart(self):
+        f = frenet_apparatus(evaluate_catalog("circular_helix"))
+        plus, minus = osculating_coefficients(f, 0.0), osculating_coefficients(f, -0.0)
+        assert plus is not minus
+        assert np.signbit(minus.theta[0]) and np.signbit(minus.u[0])
+        assert not np.signbit(plus.theta[0]) and not np.signbit(plus.u[0])
+
 
 class TestDirectionField:
     def test_helix_field_components(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetdir import numerics, od
+from frenetdir import direction, numerics, od
 from frenetdir.classify import RATIO_FLOOR, _resolved_ratio
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
@@ -172,6 +172,19 @@ class TestConstruction:
         f = donor("circular_helix")
         gam = od_osculating_curve(f, ODParameters(1.0, 1.0))
         assert gam.grid == f.grid
+
+    def test_reuses_the_callers_coefficients(self, monkeypatch):
+        f = donor("circular_helix")
+        p = ODParameters(1.0, 1.0, 0.7)
+        dc = osculating_coefficients(f, p.phase_c)
+        expected = od_osculating_curve(f, p).points
+
+        def fail(*args, **kwargs):
+            raise AssertionError("coefficients recomputed")
+
+        monkeypatch.setattr(direction, "cumulative_integral", fail)
+        assert osculating_coefficients(f, 0.7) is dc
+        assert np.array_equal(od_osculating_curve(f, p).points, expected)
 
     def test_unit_speed_flag_false_for_generic_donor(self):
         f = donor("helix_12_5", 0.0, 169.0, 2001)
