@@ -10,8 +10,9 @@ Config files are line oriented `key = value` text; keys match the long
 flag names with either - or _ and # starts a comment line.  The config
 file applies to the frenet, direct, classify and od commands; catalog
 and verify take only their own flags.  Each option of those four
-commands is declared once, in _OPTIONS; float values must be finite and
-tolerances positive, whichever source they come from.
+commands is declared once, in _OPTIONS, with the commands that read it
+(only those take the flag; a config file may set any key).  Float values
+must be finite and tolerances positive, whichever source they come from.
 
 Exit codes are stable: 0 success, 1 usage or configuration error, 2
 domain precondition violated by the data, 3 numerical failure (including
@@ -85,10 +86,10 @@ _OPTIONS = {
     "s_max": _Option(float, None, "grid end (default: catalog domain)"),
     "n": _Option(int, 2001, "sample count, odd"),
     "output": _Option(str, None, "write sampled data here"),
-    "format": _Option(str, "csv", "output file format", choices=("csv", "json")),
-    "tol_rel": _Option(float, 1e-3, "constancy tolerance"),
-    "tol_frame": _Option(float, 1e-6, "frame tolerance"),
-    "tol_od": _Option(float, 2e-2, "companion-check tolerance"),
+    "format": _Option(str, "csv", "output file format", ("frenet", "direct", "od"), ("csv", "json")),
+    "tol_rel": _Option(float, 1e-3, "constancy tolerance", ("direct", "classify")),
+    "tol_frame": _Option(float, 1e-6, "frame tolerance", ("frenet",)),
+    "tol_od": _Option(float, 2e-2, "companion-check tolerance", ("classify", "od")),
     "family": _Option(
         str, "osculating", "direction family", ("direct",),
         ("osculating", "principal", "binormal"),
@@ -312,10 +313,6 @@ def cmd_direct(args):
 
 def cmd_classify(args):
     cfg = _resolve_config(args)
-    # reports are json only; the shared --format flag exists for the
-    # curve-writing commands and its csv default does not apply here
-    if getattr(args, "format", None) == "csv":
-        raise ValueError("classify reports are json only; drop --format csv")
     c = _source_curve(cfg)
     rep = classify(c, rel_tol=cfg.tol_rel, rect_tol=cfg.tol_od)
     _dump_json(dataclasses.asdict(rep), cfg.output)

@@ -7,6 +7,7 @@ unit-speed data.  The spherical entry's natural parameter is not arc length;
 its evaluator substitutes the exact inverse of the arc-length function first.
 """
 
+import codecs
 import csv as _csv
 import io
 from dataclasses import dataclass
@@ -205,11 +206,13 @@ def load_csv(path) -> CurveSamples:
     arc length or not; a non-uniform s column, or none, gives the sample
     index 0..n-1 as the parameter.  Fields may be quoted and are read as
     float() reads them (`1_000` and surrounding spaces included); blank
-    lines are skipped.  A malformed file raises DomainError naming its
-    first faulty line, blank lines counted.
+    lines and a leading UTF-8 byte order mark are skipped.  A malformed
+    file raises DomainError naming its first faulty line, blank lines
+    counted.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # not utf-8-sig, which counts an undecodable byte from after the mark
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     # a fault the reader stops at is raised after the lines before it
     # are checked, so that the first fault in the file is the one named
     fault = None

@@ -10,8 +10,7 @@ identities are phase-covariant.  Constructed curves share the donor's grid
 and parameter, and the donor's arc length is theirs.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _cumulative,
     _masked_maxima,
     _require_fraction,
     _require_same_grid,
@@ -88,7 +88,7 @@ def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficie
     # bits, not ==: -0.0 gives theta[0] and u[0] the other sign than 0.0
     if dc is not None and dc.phase_c.hex() == phase_c.hex():
         return dc
-    theta = cumulative_integral(ScalarSamples(f.grid, f.kappa * f.speed), initial=phase_c).data
+    theta = _cumulative(f.kappa * f.speed, f.grid.h, phase_c)
     u = np.sin(theta)
     v = np.cos(theta)
     flags = (np.abs(u) < DEGENERACY_FLOOR) | (np.abs(v) < DEGENERACY_FLOOR)
@@ -106,67 +106,50 @@ def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
     return VectorSamples(f.grid, X)
 
 
-def _integral_curve(X: VectorSamples, speed, start=(0.0, 0.0, 0.0)) -> CurveSamples:
-    """Integral of the unit field X times speed over the grid parameter."""
-    worst = float(np.max(np.abs(norm(X.data) - 1.0)))
+def _require_unit(X: np.ndarray) -> None:
+    worst = float(np.max(np.abs(norm(X) - 1.0)))
     if not worst <= 1e-6:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
-    dx = VectorSamples(X.grid, X.data * speed[:, None])
-    return CurveSamples(X.grid, cumulative_integral(dx, initial=np.asarray(start, dtype=float)).data)
 
 
 def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveSamples:
     """Integral curve of a unit field over its grid parameter, which is then
     its arc length; the constructions below use the donor's arc length."""
-    return _integral_curve(X, np.ones(X.grid.n), start)
+    _require_unit(X.data)
+    return CurveSamples(X.grid, cumulative_integral(X, start).data)
+
+
+def _arclength_curve(f: FrenetData, X: np.ndarray) -> CurveSamples:
+    """Integral of the unit field X over the donor's arc length from the
+    origin, sampled on the donor's grid."""
+    _require_unit(X)
+    return CurveSamples(f.grid, _cumulative(X * f.speed[:, None], f.grid.h, 0.0))
 
 
 def osculating_direction_curve(f: FrenetData, phase_c: float) -> CurveSamples:
-    """Coefficients, field, then the integral curve over the donor's arc
-    length from the origin, sampled on the donor's grid."""
     dc = osculating_coefficients(f, phase_c)
-    return _integral_curve(direction_field(f, dc), f.speed)
+    return _arclength_curve(f, direction_field(f, dc).data)
 
 
 def principal_direction_curve(f: FrenetData) -> CurveSamples:
     _require_valid(f, "principal_direction_curve")
-    return _integral_curve(VectorSamples(f.grid, f.N), f.speed)
+    return _arclength_curve(f, f.N)
 
 
 def binormal_direction_curve(f: FrenetData) -> CurveSamples:
     _require_valid(f, "binormal_direction_curve")
-    return _integral_curve(VectorSamples(f.grid, f.B), f.speed)
+    return _arclength_curve(f, f.B)
 
 
 @dataclass(frozen=True)
 class PredictedBar:
     """Closed-form Frenet data of the osculating-direction curve, written in
     the donor's frame.  Curvature and torsion are kept signed; numerical
-    comparisons take the magnitude where needed.
-
-    The predicted frame Tbar, Nbar, Bbar is built from the donor frame and
-    coefficients on first read and kept; compare_predicted reads only the
-    curvatures, so most callers never pay for three (n, 3) arrays."""
+    comparisons take the magnitude where needed."""
 
     grid: Grid
     kappa_bar_signed: np.ndarray
     tau_bar_signed: np.ndarray
-    donor: FrenetData = field(repr=False)
-    coefficients: DirectionCoefficients = field(repr=False)
-
-    @cached_property
-    def Tbar(self) -> np.ndarray:
-        u, v = self.coefficients.u[:, None], self.coefficients.v[:, None]
-        return u * self.donor.T + v * self.donor.N
-
-    @cached_property
-    def Nbar(self) -> np.ndarray:
-        return self.donor.B.copy()
-
-    @cached_property
-    def Bbar(self) -> np.ndarray:
-        u, v = self.coefficients.u[:, None], self.coefficients.v[:, None]
-        return v * self.donor.T - u * self.donor.N
 
 
 def predicted_bar_data(f: FrenetData, dc: DirectionCoefficients) -> PredictedBar:
@@ -176,8 +159,6 @@ def predicted_bar_data(f: FrenetData, dc: DirectionCoefficients) -> PredictedBar
         grid=f.grid,
         kappa_bar_signed=f.tau * dc.v,
         tau_bar_signed=f.tau * dc.u,
-        donor=f,
-        coefficients=dc,
     )
 
 

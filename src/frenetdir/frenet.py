@@ -22,15 +22,12 @@ from .errors import DomainError
 from .numerics import (
     BOUNDARY_MARGIN,
     Grid,
-    ScalarSamples,
-    VectorSamples,
     _blocks,
+    _cumulative,
     _derivative,
     _masked_maxima,
     _require_tol,
     cross,
-    cumulative_integral,
-    derivative,
     norm,
     rowdot,
 )
@@ -77,7 +74,7 @@ class FrenetData:
     def s(self) -> np.ndarray:
         """Arc length at each sample: the cumulative integral of speed.
         Computed once and shared, so it is read-only."""
-        out = cumulative_integral(ScalarSamples(self.grid, self.speed), self.grid.s_min).data
+        out = _cumulative(self.speed, self.grid.h, self.grid.s_min)
         out.flags.writeable = False
         return out
 
@@ -93,9 +90,8 @@ class FrenetData:
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
         """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)
         or vectors (n, 3)."""
-        if values.ndim == 1:
-            return derivative(ScalarSamples(self.grid, values), 1).data / self.speed
-        return derivative(VectorSamples(self.grid, values), 1).data / self.speed[:, None]
+        speed = self.speed if values.ndim == 1 else self.speed[:, None]
+        return _derivative(values, 1, self.grid.h) / speed
 
     def valid_interior(self, margin: int = BOUNDARY_MARGIN) -> np.ndarray:
         """Boolean mask: frenet_valid and clear of the boundary margin."""

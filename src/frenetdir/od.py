@@ -112,10 +112,8 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
     if not np.any(f.frenet_valid):
         raise DomainError("modified_darboux: curvature below floor everywhere")
     # NaN on every row without a frame, whatever a hand-built FrenetData
-    # holds there
-    out = _darboux(f, slice(None))
-    out[~f.frenet_valid] = np.nan
-    return VectorSamples(f.grid, out)
+    # holds there: FrenetData.ratio is NaN there, and so is NaN * T + B
+    return VectorSamples(f.grid, _darboux(f, slice(None)))
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,11 @@ _RESOLVABLE = (
 )
 
 
+def _flags(rep):
+    """The verdicts of a classify report, compared across a rigid motion."""
+    return rep.is_line, rep.is_plane, rep.is_general_helix, rep.is_slant_helix, rep.is_rectifying
+
+
 def _property_rows(ctx):
     rows = []
 
@@ -285,19 +290,7 @@ def _property_rows(ctx):
         c = _curve(ctx, name)
         moved = CurveSamples(c.grid, c.points @ q.T + shift)
         base, rep = classify(c), classify(moved)
-        flags_equal &= (
-            base.is_line,
-            base.is_plane,
-            base.is_general_helix,
-            base.is_slant_helix,
-            base.is_rectifying,
-        ) == (
-            rep.is_line,
-            rep.is_plane,
-            rep.is_general_helix,
-            rep.is_slant_helix,
-            rep.is_rectifying,
-        )
+        flags_equal &= _flags(base) == _flags(rep)
         dev = max(
             dev,
             abs(base.helix_ratio.mean - rep.helix_ratio.mean),

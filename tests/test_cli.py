@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import json
 import os
 import subprocess
@@ -184,6 +185,36 @@ class TestOptionTable:
             if command in opt.commands
         }
         assert flags == expect | {"--config"}
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("frenet", "--tol-rel", "0.1"),
+            ("od", "--tol-rel", "0.1"),
+            ("direct", "--tol-frame", "1e-3"),
+            ("classify", "--tol-frame", "1e-3"),
+            ("od", "--tol-frame", "1e-3"),
+            ("frenet", "--tol-od", "0.1"),
+            ("direct", "--tol-od", "0.1"),
+            ("classify", "--format", "json"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, "--curve", "circular_helix", flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_config_key_the_command_does_not_read_validated(self, tmp_path, capsys):
+        path = tmp_path / "shared.cfg"
+        path.write_text("curve = circular_helix\ntol_frame = 1e-3\n")
+        assert run(capsys, "classify", "--config", str(path)) == run(
+            capsys, "classify", "--curve", "circular_helix"
+        )
+        path.write_text("curve = circular_helix\ntol_frame = nan\n")
+        code, _, err = run(capsys, "classify", "--config", str(path))
+        assert code == 1
+        assert "--tol-frame must be finite" in err
 
     @pytest.mark.parametrize(
         "line, message",
@@ -392,7 +423,7 @@ class TestClassify:
             capsys, "classify", "--curve", "circular_helix", "--format", "csv"
         )
         assert code == 1
-        assert "json only" in err
+        assert "unrecognized arguments" in err
 
     def test_companion_curve_not_rectifying(self, tmp_path, capsys):
         # the constant-curvature donor violates the matched-profile
@@ -539,6 +570,15 @@ class TestCsvInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: line 6: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", CURVE_COMMANDS)
+    def test_byte_order_mark_reads_as_without(self, tmp_path, capsys, command):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_xyz_csv(plain, warped_helix(*WARPED_HELICES[0])[0])
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        expect = run(capsys, command, "--input", str(plain))
+        assert expect[0] == 0
+        assert run(capsys, command, "--input", str(marked)) == expect
 
     @pytest.mark.parametrize("command", CURVE_COMMANDS)
     def test_repeated_samples_are_degenerate(self, tmp_path, capsys, command):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import os
@@ -198,6 +199,27 @@ class TestCsvRoundTrip:
         p = tmp_path / "latin1.csv"
         rows = "".join(f"{i},0,0{eol}" for i in range(9)).encode()
         p.write_bytes(f"x,y,z{eol}".encode() + rows + f"1,caf\xe9,2{eol}".encode("latin-1") + rows)
+        with pytest.raises(DomainError, match="line 11: not UTF-8 text"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("header", ["x,y,z", "s,x,y,z"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        c = evaluate_catalog("circular_helix", grid=uniform_grid(0.5, 2.5, 9))
+        rows = c.points if header == "x,y,z" else np.column_stack([c.grid.values, c.points])
+        text = header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        a, b = load_csv(plain), load_csv(marked)
+        assert b.grid == a.grid
+        assert np.array_equal(b.points, a.points)
+
+    def test_byte_order_mark_leaves_the_undecodable_line(self, tmp_path):
+        # the bad byte opens its line: counted from after the mark, its
+        # position would fall inside line 10
+        p = tmp_path / "marked_latin1.csv"
+        rows = "".join(f"{i},0,0\n" for i in range(9)).encode()
+        p.write_bytes(codecs.BOM_UTF8 + b"x,y,z\n" + rows + b"\xe9,1,2\n" + rows)
         with pytest.raises(DomainError, match="line 11: not UTF-8 text"):
             load_csv(p)
 

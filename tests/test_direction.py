@@ -32,9 +32,9 @@ from frenetdir.frenet import (
     frenet_apparatus,
     unit_speed_deviation,
 )
-from frenetdir.numerics import VectorSamples, _rows, uniform_grid
+from frenetdir.numerics import VectorSamples, _rows, cumulative_integral, uniform_grid
 
-from oracles import warped_helix
+from oracles import WARPED_HELICES, warped_helix
 
 
 def donor(name, grid=None, phase=np.pi / 4):
@@ -224,6 +224,13 @@ class TestIntegrateDirectionCurve:
         with pytest.raises(ValueError, match="not unit length"):
             integrate_direction_curve(VectorSamples(g, X))
 
+    def test_is_the_cumulative_integral_of_the_field(self):
+        f, dc = donor("helix_12_5", phase=0.3)
+        X = direction_field(f, dc)
+        start = (2.0, -1.0, 0.5)
+        gamma = integrate_direction_curve(X, start)
+        assert np.array_equal(gamma.points, cumulative_integral(X, start).data)
+
 
 class TestPrincipalAndBinormal:
     def test_principal_of_circle_is_translated_circle(self):
@@ -248,6 +255,17 @@ class TestPrincipalAndBinormal:
             f = frenet_apparatus(evaluate_catalog(name))
             assert unit_speed_deviation(frenet_apparatus(principal_direction_curve(f))) < 1e-6
             assert unit_speed_deviation(frenet_apparatus(binormal_direction_curve(f))) < 1e-6
+
+    @pytest.mark.parametrize(
+        "build, field", [(principal_direction_curve, "N"), (binormal_direction_curve, "B")]
+    )
+    def test_is_the_cumulative_integral_over_arc_length(self, build, field):
+        # a warped parameter, so that the speed weight is not 1
+        pts = warped_helix(*WARPED_HELICES[3])[0]
+        f = frenet_apparatus(CurveSamples(uniform_grid(0.0, len(pts) - 1.0, len(pts)), pts))
+        X = getattr(f, field) * f.speed[:, None]
+        expect = cumulative_integral(VectorSamples(f.grid, X)).data
+        assert np.array_equal(build(f).points, expect)
 
     def test_straight_donor_rejected(self):
         f = straight_line()
@@ -285,21 +303,6 @@ class TestPredictedBarData:
         inner = f.grid.interior()
         assert np.max(np.abs(sq - (5.0 / 169.0) ** 2)[inner]) < 1e-10
         assert np.max(np.abs(sq - (5.0 / 169.0) ** 2)) < 1e-9
-
-    def test_frame_vectors_are_unit(self):
-        f, dc = donor("circular_helix")
-        pb = predicted_bar_data(f, dc)
-        for arr in (pb.Tbar, pb.Nbar, pb.Bbar):
-            assert np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)) < 1e-9
-
-    def test_frame_built_on_read_equals_eager_expressions(self):
-        f, dc = donor("helix_12_5", phase=0.3)
-        pb = predicted_bar_data(f, dc)
-        u, v = dc.u[:, None], dc.v[:, None]
-        assert np.array_equal(pb.Tbar, u * f.T + v * f.N)
-        assert np.array_equal(pb.Nbar, f.B)
-        assert np.array_equal(pb.Bbar, v * f.T - u * f.N)
-        assert pb.Tbar is pb.Tbar
 
 
 class TestCompareAgainstPrediction:
@@ -363,9 +366,9 @@ class TestCompareAgainstPrediction:
 
     def test_numerical_tangent_matches_predicted(self):
         f, dc, g = constructed("circular_helix")
-        pb = predicted_bar_data(f, dc)
+        predicted = dc.u[:, None] * f.T + dc.v[:, None] * f.N
         mask = g.valid_interior()
-        assert np.max(np.abs(g.T[mask] - pb.Tbar[mask])) < 1e-6
+        assert np.max(np.abs(g.T[mask] - predicted[mask])) < 1e-6
 
 
 class TestDonorRecovery:
