@@ -168,14 +168,14 @@ def _resolve_config(args):
     cfg["params"] = _parse_params(cfg["params"])
     for key, opt in _OPTIONS.items():
         value = cfg[key]
+        # a key the command takes no flag for can only come from a config file
+        name = _flag(key) if hasattr(args, key) else f"config key {key}"
         if opt.choices and value not in opt.choices:
-            raise ValueError(
-                f"{_flag(key)} must be one of {', '.join(opt.choices)}, got {value!r}"
-            )
+            raise ValueError(f"{name} must be one of {', '.join(opt.choices)}, got {value!r}")
         if opt.type is float and value is not None and not math.isfinite(value):
-            raise ValueError(f"{_flag(key)} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
         if key.startswith("tol_") and not value > 0:
-            raise ValueError(f"{_flag(key)} must be positive")
+            raise ValueError(f"{name} must be positive")
     return argparse.Namespace(**cfg)
 
 

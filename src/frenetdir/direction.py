@@ -127,6 +127,8 @@ def _arclength_curve(f: FrenetData, X: np.ndarray) -> CurveSamples:
 
 
 def osculating_direction_curve(f: FrenetData, phase_c: float) -> CurveSamples:
+    """Coefficients, field, then the integral curve over the donor's arc
+    length from the origin, sampled on the donor's grid."""
     dc = osculating_coefficients(f, phase_c)
     return _arclength_curve(f, direction_field(f, dc).data)
 

@@ -214,7 +214,11 @@ class TestOptionTable:
         path.write_text("curve = circular_helix\ntol_frame = nan\n")
         code, _, err = run(capsys, "classify", "--config", str(path))
         assert code == 1
-        assert "--tol-frame must be finite" in err
+        assert "error: config key tol_frame must be finite, got nan" in err
+        path.write_text("curve = circular_helix\nformat = xml\n")
+        code, _, err = run(capsys, "classify", "--config", str(path))
+        assert code == 1
+        assert "error: config key format must be one of csv, json, got 'xml'" in err
 
     @pytest.mark.parametrize(
         "line, message",

@@ -182,7 +182,7 @@ class TestConstruction:
         def fail(*args, **kwargs):
             raise AssertionError("coefficients recomputed")
 
-        monkeypatch.setattr(direction, "cumulative_integral", fail)
+        monkeypatch.setattr(direction, "_cumulative", fail)
         assert osculating_coefficients(f, 0.7) is dc
         assert np.array_equal(od_osculating_curve(f, p).points, expected)
 
