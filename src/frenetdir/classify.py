@@ -19,6 +19,7 @@ from .numerics import (
     BOUNDARY_MARGIN,
     ConstancyReport,
     ScalarSamples,
+    _masked_maxima,
     _require_fraction,
     _require_same_grid,
     _require_tol,
@@ -144,7 +145,8 @@ def plane_test(f: FrenetData) -> bool:
     mask = f.valid_interior()
     if not np.any(mask):
         return False
-    return bool(np.max(np.abs(f.tau[_rows(mask)])) < FLAT_TOL)
+    (worst,) = _masked_maxima(mask, lambda rows: [np.abs(f.tau[rows])])
+    return worst < FLAT_TOL
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,8 @@ def _fit_line(s: np.ndarray, ratio: np.ndarray, who: str) -> LineFit:
         raise DomainError(f"{who}: a line fit needs distinct arc-length values")
     slope = float(np.einsum("i,i->", ds, ratio - r_bar) / sxx)
     intercept = float(r_bar - slope * s_bar)
-    residual = float(np.max(np.abs(ratio - (slope * s + intercept))))
+    (residual,) = _masked_maxima(
+        slice(0, s.size), lambda rows: [np.abs(ratio[rows] - (slope * s[rows] + intercept))])
     return LineFit(slope=slope, intercept=intercept, max_residual=residual)
 
 
@@ -209,12 +212,13 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("rectifying_test")
-    rows = _rows(mask)
-    pts = c.points[rows]
-    normal = float(np.max(np.abs(rowdot(pts, f.N[rows]))))
-    scale = float(np.max(norm(pts)))
+    normal, scale = _masked_maxima(mask, lambda rows: (
+        np.abs(rowdot(c.points[rows], f.N[rows])),
+        norm(c.points[rows]),
+    ))
     normal_component = normal / max(scale, 1e-12)
 
+    rows = _rows(mask)
     s = f.s[rows]
     fit = _fit_line(s, f.ratio[rows], "rectifying_test")
     span = float(s[-1] - s[0])

@@ -107,7 +107,7 @@ def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
 
 
 def _require_unit(X: np.ndarray) -> None:
-    worst = float(np.max(np.abs(norm(X) - 1.0)))
+    (worst,) = _masked_maxima(slice(0, len(X)), lambda rows: [np.abs(norm(X[rows]) - 1.0)])
     if not worst <= 1e-6:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
 
@@ -254,8 +254,7 @@ def mannheim_check(g: FrenetData, f: FrenetData, tol: float = 1e-4) -> MannheimR
     mask = g.valid_interior() & f.frenet_valid & (g.kappa >= MANNHEIM_KAPPA_FRACTION * f.kappa)
     if not np.any(mask):
         return MannheimReport(np.nan, passed=True, vacuous=True)
-    # the mask is many short runs wherever g.kappa dips, so reduce over
-    # every row instead of gathering the masked ones
-    align = np.abs(rowdot(g.N, f.B))
-    mn = float(np.min(align, where=mask, initial=np.inf))
+    # the min as minus the max of the negated alignment: negation is exact
+    (worst,) = _masked_maxima(mask, lambda rows: [-np.abs(rowdot(g.N[rows], f.B[rows]))])
+    mn = -worst
     return MannheimReport(min_alignment=mn, passed=bool(mn >= 1.0 - tol), vacuous=False)

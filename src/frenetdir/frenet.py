@@ -171,7 +171,8 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
 def unit_speed_deviation(f: FrenetData) -> float:
     """max |speed - 1| over interior samples (boundary stencils excluded),
     the speed measured against the grid parameter."""
-    return float(np.max(np.abs(f.speed[f.grid.interior()] - 1.0)))
+    (worst,) = _masked_maxima(f.grid.interior(), lambda rows: [np.abs(f.speed[rows] - 1.0)])
+    return worst
 
 
 @dataclass(frozen=True)
@@ -239,22 +240,26 @@ def frenet_derivative_check(f: FrenetData, tol: float = 1e-4) -> ResidualCheck:
     # stencils that straddle the one-sided rows of the first pass lose an
     # order.  Statistics therefore skip twice the usual margin.
     _require_tol("tol", tol)
-    dT = f._d_ds(f.T)
-    with np.errstate(invalid="ignore"):
-        dN = f._d_ds(f.N)
-        dB = f._d_ds(f.B)
-        k = f.kappa[:, None]
-        t = f.tau[:, None]
-        rT = norm(dT - k * f.N)
-        rN = norm(dN + k * f.T - t * f.B)
-        rB = norm(dB + t * f.N)
+
+    def residuals(rows):
+        # d/ds of the frame on these rows only (_derivative's row range)
+        speed = f.speed[rows, None]
+        dT, dN, dB = (_derivative(a, 1, f.grid.h, rows.start, rows.stop) / speed
+                      for a in (f.T, f.N, f.B))
+        T, N, B = f.T[rows], f.N[rows], f.B[rows]
+        k, t = f.kappa[rows, None], f.tau[rows, None]
+        res = [norm(dT - k * N), norm(dN + k * T - t * B), norm(dB + t * N)]
+        # a row whose residuals are not all finite is not judged
+        skip = ~np.isfinite(res).all(axis=0)
+        for r in res:
+            r[skip] = -np.inf
+        return res
+
     mask = f.valid_interior(2 * BOUNDARY_MARGIN)
-    mask &= np.isfinite(rT) & np.isfinite(rN) & np.isfinite(rB)
-    if not np.any(mask):
+    res_T, res_N, res_B = _masked_maxima(mask, residuals) if mask.any() else [-np.inf] * 3
+    # a judged row has finite residuals, so -inf means none was judged
+    if res_T == -np.inf:
         return ResidualCheck(0.0, 0.0, 0.0, passed=True, vacuous=True)
-    res_T = float(np.max(rT[mask]))
-    res_N = float(np.max(rN[mask]))
-    res_B = float(np.max(rB[mask]))
     return ResidualCheck(
         res_T=res_T,
         res_N=res_N,

@@ -18,10 +18,10 @@ integrating a field, then differentiated up to third order), so the
 quadrature's local error must vary smoothly from panel to panel; see
 _cumulative.
 
-Long per-sample passes (the Frenet frame, the frame and cross-ratio
-statistics, the osculating-plane companion) run in row blocks of
-_BLOCK_ROWS = 8192 rows: _derivative returns any row range of a
-derivative, and _blocks splits a row range.  A block's (rows, 3) float64
+Long per-sample passes (the Frenet frame, the frame, derivative-identity
+and cross-ratio statistics, the osculating-plane companion) run in row
+blocks of _BLOCK_ROWS = 8192 rows: _derivative returns any row range of
+a derivative, and _blocks splits a row range.  A block's (rows, 3) float64
 temporaries take 192 KiB each, so the few that are live at once stay in a
 core's L2 cache between the passes that write and read them, and a long
 curve makes no full-length temporary that is written once, read once and
@@ -42,13 +42,15 @@ The row-wise dot product is rowdot, which adds the products in one fixed
 order, (a0 b0 + a2 b2) + a1 b1: the order np.einsum takes for the
 subscripts "ij,ij->i" on C-ordered rows (on other layouts einsum rounds
 about a quarter of the rows differently).  The one-sided derivative rows
-weight a new contiguous array of differences, so they too give the same
-bits in every layout (see derivative).
+of each side are one batched dot (np.vecdot) over a new C-ordered array
+of differences, contiguous along the window, so they too give the same
+bits in every layout, and the same bits as one dot per row (see
+derivative).
 
-A max statistic over the True rows of a mask (_masked_maxima) reduces
-block by block over the span from the first to the last True row, with
-where=, and then takes the max over the blocks: exact whatever the
-blocks, NaN still propagates, and a mask of many runs gathers no rows.
+Every worst-row statistic (_masked_maxima) reduces block by block over
+a slice or a mask's span, with where=, then takes the max over the
+blocks: exact, NaN still propagates, and no rows are gathered.  A min is
+minus the max of the negated statistic, which is exact too.
 """
 
 from dataclasses import dataclass, field
@@ -186,19 +188,22 @@ def _blocks(rows: slice) -> list:
             for lo in range(rows.start, rows.stop, _BLOCK_ROWS)]
 
 
-def _masked_maxima(mask: np.ndarray, stats) -> list:
+def _masked_maxima(mask, stats) -> list:
     """Max of each row statistic over the True rows of a mask (which must
-    hold one): stats(rows) returns the statistics of the rows of one slice
-    as (rows,) arrays.  Each block of the mask's span is reduced with
-    where=, then the blocks' maxima are reduced: exact, and NaN on a True
-    row still propagates.  Rows outside the mask are computed but never
-    read, so their inf or NaN raise no warning."""
+    hold one), or over every row of a slice: stats(rows) returns the
+    statistics of the rows of one slice as (rows,) arrays.  Each block of
+    the mask's span is reduced with where=, then the blocks' maxima are
+    reduced: exact, and NaN on a True row still propagates.  Rows outside
+    the mask are computed but never read, so their inf or NaN raise no
+    warning."""
+    span = mask if isinstance(mask, slice) else _span(mask)
     maxima = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for rows in _blocks(_span(mask)):
-            where = mask[rows]
-            maxima.append([np.max(x, where=where, initial=-np.inf) for x in stats(rows)])
-    return [float(x) for x in np.max(maxima, axis=0)]
+        for rows in _blocks(span):
+            where = True if mask is span else mask[rows]
+            maxima.append([np.maximum.reduce(x, where=where, initial=-np.inf) for x in stats(rows)])
+    # a curve of at most _BLOCK_ROWS samples is one block: nothing to reduce
+    return [float(x) for x in (maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0))]
 
 
 def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
@@ -290,27 +295,36 @@ _EDGE_DEGREE = {1: 5, 2: 6, 3: 7}
 @cache
 def _weights(order: int):
     """(center, head, tail) weights for one order: the central stencil, then
-    the one-sided rows for the first and for the last _HALF[order] samples
-    (tail[i] serves sample n-1-i).  Solved on first use; read-only."""
+    (half, win) arrays of the one-sided rows for the first and for the last
+    half = _HALF[order] samples (tail[i] serves sample n-1-i).  Solved on
+    first use; read-only."""
     half = _HALF[order]
     win, degree = _EDGE_WINDOW[order], _EDGE_DEGREE[order]
     center = _stencil(np.arange(-half, half + 1), order)
-    head = [_stencil(np.arange(win) - i, order, degree) for i in range(half)]
-    tail = [_stencil(np.arange(win) - (win - 1 - i), order, degree) for i in range(half)]
-    for w in (center, *head, *tail):
+    head = np.array([_stencil(np.arange(win) - i, order, degree) for i in range(half)])
+    tail = np.array([_stencil(np.arange(win) - (win - 1 - i), order, degree) for i in range(half)])
+    for w in (center, head, tail):
         w.flags.writeable = False
-    return center, tuple(head), tuple(tail)
+    return center, head, tail
+
+
+def _one_sided(w: np.ndarray, window: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (k, win) weights w dotted with window - row for each of k rows:
+    one np.vecdot over a new C-ordered (k, columns, win) array of
+    differences (a strided dot vector would add in another order)."""
+    return np.vecdot(w[:, None], np.subtract(window.T, rows[:, :, None], order="C"))
 
 
 def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Rows lo..hi-1 of the stencil derivative of (n,) or (n, 3) data, one
-    column at a time into one output array: out if given (of any layout),
-    else a new C-ordered one.  Each column is read through its own
-    (possibly strided) view of y.  Every row is bit-identical to the same
-    row of the whole-array call: a central row correlates the same window
-    of the column whatever slice it is read from, and a one-sided row
-    weights the same differences."""
+    """Rows lo..hi-1 of the stencil derivative of (n,) or (n, 3) data into
+    one output array: out if given (of any layout), else a new C-ordered
+    one.  The central rows correlate each column through its own (possibly
+    strided) view of y; the one-sided rows of each side are one batched
+    dot (_one_sided).  Every row is bit-identical to the same row of the
+    whole-array call: a central row correlates the same window of the
+    column whatever slice it is read from, and a one-sided row weights the
+    same differences."""
     n = y.shape[0]
     hi = n if hi is None else hi
     center, head, tail = _weights(order)
@@ -318,16 +332,21 @@ def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None
     win = _EDGE_WINDOW[order]
     if out is None:
         out = np.empty((hi - lo, *y.shape[1:]))
+    # reshape to (rows, columns) is a view of both arrays for either shape
+    y2, out2 = y.reshape(n, -1), out.reshape(hi - lo, -1)
     # central rows a..b-1 of this range
     a, b = max(lo, half), min(hi, n - half)
-    # reshape to (rows, columns) is a view of both arrays for either shape
-    for col, dst in zip(y.reshape(n, -1).T, out.reshape(hi - lo, -1).T):
-        if a < b:
+    if a < b:
+        for col, dst in zip(y2.T, out2.T):
             dst[a - lo:b - lo] = np.correlate(col[a - half:b + half], center, mode="valid")
-        for i in range(lo, min(hi, half)):
-            dst[i - lo] = head[i] @ (col[:win] - col[i])
-        for j in range(max(lo, n - half), hi):
-            dst[j - lo] = tail[n - 1 - j] @ (col[n - win:] - col[j])
+    if lo < half:
+        rows = slice(lo, min(hi, half))
+        out2[:rows.stop - lo] = _one_sided(head[rows], y2[:win], y2[rows])
+    if hi > n - half:
+        rows = slice(max(lo, n - half), hi)
+        # tail[n-1-j] serves row j, so the rows' weights run backwards
+        w = tail[n - hi:n - rows.start][::-1]
+        out2[rows.start - lo:] = _one_sided(w, y2[n - win:], y2[rows])
     out /= h**order
     return out
 
@@ -358,9 +377,12 @@ def derivative(f, order: int):
     statements hold on the interior rows (FrenetData.valid_interior).
 
     Every row gives the same bits whatever the memory layout of f.data:
-    the central rows correlate a column view, and the one-sided rows
-    weight a new contiguous array of differences.  Each column of a vector
-    derivative is bit-identical to the scalar derivative of that column.
+    the central rows correlate a column view, and the one-sided rows of
+    each side are one batched dot (np.vecdot) with a new array of
+    differences, contiguous along the window: the same float64 dot as one
+    w @ (window - sample) per row, so the same bits.  Each column of a
+    vector derivative is bit-identical to the scalar derivative of that
+    column.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")

@@ -12,6 +12,7 @@ from frenetdir.errors import DomainError
 from frenetdir.frenet import (
     KAPPA_FLOOR,
     FrenetData,
+    ResidualCheck,
     frenet_apparatus,
     frenet_derivative_check,
     verify_frame,
@@ -391,6 +392,67 @@ class TestDerivativeIdentities:
             return max(r.res_T, r.res_N, r.res_B)
 
         assert worst(251) / worst(501) >= 12.0
+
+
+def _derivative_check_numpy(f, tol=1e-4):
+    """frenet_derivative_check as one whole-array pass: d/ds of the whole
+    frame, full-length residuals, then the max over the rows of the
+    doubled-margin interior whose three residuals are finite."""
+    def d_ds(a):
+        return derivative(VectorSamples(f.grid, a), 1).data / f.speed[:, None]
+
+    with np.errstate(invalid="ignore"):
+        dT, dN, dB = d_ds(f.T), d_ds(f.N), d_ds(f.B)
+        k, t = f.kappa[:, None], f.tau[:, None]
+        rT = norm(dT - k * f.N)
+        rN = norm(dN + k * f.T - t * f.B)
+        rB = norm(dB + t * f.N)
+    mask = f.valid_interior(2 * numerics.BOUNDARY_MARGIN)
+    mask &= np.isfinite(rT) & np.isfinite(rN) & np.isfinite(rB)
+    if not np.any(mask):
+        return ResidualCheck(0.0, 0.0, 0.0, passed=True, vacuous=True)
+    res = [float(np.max(r[mask])) for r in (rT, rN, rB)]
+    return ResidualCheck(*res, passed=bool(max(res) < tol), vacuous=False)
+
+
+def _bits(r):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(r)]
+
+
+class TestDerivativeCheckBlocks:
+    # 64-row blocks put block edges inside the doubled boundary margin
+    # and across the runs of non-finite rows
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_equals_the_whole_array_pass(self, monkeypatch, name):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", 64)
+        _, f = catalog_frenet(name, 2001)
+        got = frenet_derivative_check(f)
+        assert not got.vacuous
+        assert _bits(got) == _bits(_derivative_check_numpy(f))
+
+    @staticmethod
+    def _with_nan_rows(rows):
+        _, f = catalog_frenet("circular_helix", 401)
+        N, B, tau = f.N.copy(), f.B.copy(), f.tau.copy()
+        for a in (N, B, tau):
+            a[rows] = np.nan
+        # frenet_valid stays set, so only the finiteness test drops rows
+        return dataclasses.replace(f, N=N, B=B, tau=tau)
+
+    def test_non_finite_rows_are_not_judged(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", 64)
+        f = self._with_nan_rows(np.r_[60:70, 127, 128, 300])
+        got = frenet_derivative_check(f)
+        assert not got.vacuous and np.isfinite([got.res_T, got.res_N, got.res_B]).all()
+        assert _bits(got) == _bits(_derivative_check_numpy(f))
+
+    def test_no_finite_judged_row_is_vacuous(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", 64)
+        f = self._with_nan_rows(slice(None))
+        got = frenet_derivative_check(f)
+        assert got.vacuous and got.passed
+        assert _bits(got) == _bits(_derivative_check_numpy(f))
 
 
 def test_kappa_floor_value():

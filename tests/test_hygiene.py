@@ -1,6 +1,8 @@
 """Imported-but-unused names in the package, its tests and the demos,
-public names that nothing outside the tests uses, and row-wise dot
-products taken any other way than through numerics.rowdot.
+public names that nothing outside the tests uses, row-wise dot
+products taken any other way than through numerics.rowdot, and masked
+max or min reductions taken any other way than through
+numerics._masked_maxima.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -100,3 +102,57 @@ def test_every_row_dot_is_rowdot():
         if pattern in line.replace("'", '"').replace(" ", "")
     ]
     assert hits == []
+
+
+REDUCTIONS = {
+    "max", "min", "amax", "amin", "nanmax", "nanmin",
+    # ufunc.reduce: np.maximum.reduce(x, where=m)
+    "maximum", "minimum", "fmax", "fmin",
+}
+
+
+def masked_reductions(source):
+    """(line, enclosing function) of every max or min call with a where=
+    keyword: np.max(x, where=m), x.min(where=m), np.maximum.reduce(...)
+    and the like."""
+    hits = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "reduce" and isinstance(func.value, ast.Attribute):
+                    name = func.value.attr
+                if name in REDUCTIONS and any(k.arg == "where" for k in child.keywords):
+                    hits.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return hits
+
+
+def test_every_masked_max_is_masked_maxima():
+    # one masked-statistic path: block by block over the mask's span,
+    # exact, no gathered rows and no full-length temporary
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} in {function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, function in masked_reductions(path.read_text(encoding="utf-8"))
+        if (path.name, function) != ("numerics.py", "_masked_maxima")
+    ]
+    assert hits == []
+
+
+def test_masked_reductions_are_found():
+    source = (
+        "def f(x, m):\n"
+        "    a = np.min(x, where=m, initial=1.0)\n"
+        "    return a + x.max(where=m, initial=0.0) + np.max(x)\n"
+        "def g(x, m):\n"
+        "    return np.minimum.reduce(x, where=m) + np.add.reduce(x, where=m)\n"
+    )
+    assert masked_reductions(source) == [(2, "f"), (3, "f"), (5, "g")]
