@@ -9,6 +9,7 @@ tolerance it was judged by.  See the README for the command line front end.
 
 from .classify import (
     ClassificationReport,
+    ConstancyReport,
     LineFit,
     RectifyingReport,
     classify,
@@ -59,7 +60,6 @@ from .frenet import (
 )
 from .numerics import (
     BOUNDARY_MARGIN,
-    ConstancyReport,
     Grid,
     ScalarSamples,
     VectorSamples,

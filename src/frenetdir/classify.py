@@ -17,14 +17,11 @@ from .errors import DomainError
 from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
-    ConstancyReport,
     ScalarSamples,
     _masked_maxima,
-    _require_fraction,
     _require_same_grid,
     _require_tol,
     _rows,
-    constancy,
     norm,
     rowdot,
 )
@@ -48,29 +45,52 @@ def _no_samples(who: str) -> DomainError:
     return DomainError(f"{who}: no usable samples (curvature below floor or all boundary)")
 
 
-def _constancy_or_zero(vals: np.ndarray, rel_tol: float) -> ConstancyReport:
-    """constancy(vals, rel_tol), except that a median magnitude below
-    ZERO_LEVEL is the identically-zero case: constant, degenerate_zero set,
-    and the spread measured against ZERO_LEVEL instead of the median."""
-    if np.median(np.abs(vals)) < ZERO_LEVEL:
-        return ConstancyReport(
-            mean=float(vals.mean()),
-            min=float(vals.min()),
-            max=float(vals.max()),
-            rel_variation=float(vals.max() - vals.min()) / ZERO_LEVEL,
-            is_constant=True,
-            degenerate_zero=True,
-        )
-    return constancy(vals, rel_tol)
+@dataclass(frozen=True)
+class ConstancyReport:
+    """Summary statistics answering "is this sampled function constant".
+
+    rel_variation is (max - min) / max(|median|, 1e-12), and is_constant
+    holds exactly when it is below the tolerance the caller supplied.
+    degenerate_zero marks the identically-zero case, where the relative
+    measure is meaningless: rel_variation is then (max - min) / ZERO_LEVEL
+    and is_constant holds.
+    """
+
+    mean: float
+    min: float
+    max: float
+    rel_variation: float
+    is_constant: bool
+    degenerate_zero: bool
 
 
-def _resolved_ratio(f: FrenetData, floor: float) -> np.ndarray:
-    """Rows where curvature is at least floor times the curvature/torsion
-    norm; below that the torsion/curvature ratio nears its pole and its
-    derivative stencils produce finite garbage."""
+def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
+    """The constancy verdict over a plain array (callers pre-select the
+    samples).  A median magnitude below ZERO_LEVEL is the identically-zero
+    case (degenerate_zero); the median, not the max, because values on a
+    roundoff floor have extreme outliers that scale with the resolution."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("constancy statistics need at least one sample")
+    mean = float(values.mean())
+    lo = float(values.min())
+    hi = float(values.max())
+    # the median partitions its own copy of |values| in place
+    if np.median(np.abs(values), overwrite_input=True) < ZERO_LEVEL:
+        return ConstancyReport(mean, lo, hi, (hi - lo) / ZERO_LEVEL,
+                               is_constant=True, degenerate_zero=True)
+    rel = (hi - lo) / max(abs(float(np.median(values))), 1e-12)
+    return ConstancyReport(mean, lo, hi, rel, is_constant=bool(rel < rel_tol),
+                           degenerate_zero=False)
+
+
+def _resolved_ratio(f: FrenetData) -> np.ndarray:
+    """Rows where curvature is at least RATIO_FLOOR times the
+    curvature/torsion norm; below that the torsion/curvature ratio nears
+    its pole and its derivative stencils produce finite garbage."""
     with np.errstate(invalid="ignore"):
         frac = f.kappa / np.sqrt(f.kappa**2 + f.tau**2)
-    return np.nan_to_num(frac) >= floor
+    return np.nan_to_num(frac) >= RATIO_FLOOR
 
 
 def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
@@ -78,13 +98,13 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
 
     A ratio that is identically zero (plane curves) is constant with
     degenerate_zero set; relative variation is meaningless on a roundoff
-    floor, and the median-against-level test mirrors slant_helix_test.
+    floor (see constancy).
     """
     _require_tol("rel_tol", rel_tol)
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("general_helix_test")
-    return _constancy_or_zero(f.ratio[_rows(mask)], rel_tol)
+    return constancy(f.ratio[_rows(mask)], rel_tol)
 
 
 def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
@@ -101,9 +121,7 @@ def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
     return ScalarSamples(f.grid, sigma)
 
 
-def slant_helix_test(
-    f: FrenetData, rel_tol: float = 1e-3, cos_floor: float = RATIO_FLOOR
-) -> ConstancyReport:
+def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     """Constancy verdict on the magnitude of the slant-helix invariant.
 
     Magnitudes, not raw values: under the nonnegative-curvature convention
@@ -111,26 +129,24 @@ def slant_helix_test(
     flips the raw invariant's sign piecewise while the underlying axis
     angle stays constant.  The tripled boundary margin keeps one-sided
     rows of the whole derivative chain out of the statistics, and samples
-    where curvature falls below cos_floor times the curvature/torsion norm
-    are excluded: the torsion/curvature ratio has a pole there and stencils
-    that straddle it produce finite garbage.
+    where curvature falls below RATIO_FLOOR times the curvature/torsion
+    norm are excluded: the torsion/curvature ratio has a pole there and
+    stencils that straddle it produce finite garbage.
 
     An identically-zero invariant (every general helix) is reported
     constant with degenerate_zero set: the constancy claim is true but the
-    zero level means no slant axis exists.  The zero test uses the median
-    because the folded values sit on a rough roundoff floor whose extreme
-    outliers scale with grid resolution.
+    zero level means no slant axis exists (see constancy for the zero
+    test).
     """
     _require_tol("rel_tol", rel_tol)
-    _require_fraction("cos_floor", cos_floor)
     sigma = slant_helix_invariant(f).data
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
     mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma)
-    mask &= _resolved_ratio(f, cos_floor)
+    mask &= _resolved_ratio(f)
     if not np.any(mask):
         raise _no_samples("slant_helix_test")
-    return _constancy_or_zero(np.abs(sigma[mask]), rel_tol)
+    return constancy(np.abs(sigma[mask]), rel_tol)
 
 
 def line_test(f: FrenetData) -> bool:

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: catalog, frenet, direct, classify, od, verify.  Curve input
-is either a catalog name (--curve) or a CSV file (--input); grids,
-phases, construction constants and tolerances come from flags, from a
-config file (--config, or the file named by FD_CONFIG), or from the
-defaults, in that order of increasing precedence (flags win).
+is either a catalog name (--curve) or a CSV file (--input), which brings
+its own samples, so the grid and catalog-parameter options are rejected
+with it.  Grids, phases, construction constants and tolerances come from
+flags, from a config file (--config, or the file named by FD_CONFIG), or
+from the defaults, in that order of increasing precedence (flags win).
 
 Config files are line oriented `key = value` text; keys match the long
 flag names with either - or _ and # starts a comment line.  The config
@@ -37,6 +38,7 @@ import numpy as np
 from . import verify as verify_suite
 from .classify import RATIO_FLOOR, classify, slant_helix_test
 from .curves import (
+    DEFAULT_N,
     CurveSamples,
     _write_rows,
     catalog_entry,
@@ -84,7 +86,7 @@ _OPTIONS = {
     "params": _Option(str, "", "catalog parameter overrides k=v,..."),
     "s_min": _Option(float, None, "grid start (default: catalog domain)"),
     "s_max": _Option(float, None, "grid end (default: catalog domain)"),
-    "n": _Option(int, 2001, "sample count, odd"),
+    "n": _Option(int, None, f"sample count, odd (default {DEFAULT_N})"),
     "output": _Option(str, None, "write sampled data here"),
     "format": _Option(str, "csv", "output file format", ("frenet", "direct", "od"), ("csv", "json")),
     "tol_rel": _Option(float, 1e-3, "constancy tolerance", ("direct", "classify")),
@@ -186,10 +188,14 @@ def _source_curve(cfg):
         entry = catalog_entry(cfg.curve, cfg.params or None)
         lo = entry.domain[0] if cfg.s_min is None else cfg.s_min
         hi = entry.domain[1] if cfg.s_max is None else cfg.s_max
-        grid = uniform_grid(lo, hi, cfg.n)
+        grid = uniform_grid(lo, hi, DEFAULT_N if cfg.n is None else cfg.n)
         return evaluate_catalog(cfg.curve, cfg.params or None, grid)
+    # a CSV file brings its own samples, so no grid or parameter applies
     if cfg.params:
         raise ValueError("--params only applies to catalog curves")
+    for key in ("s_min", "s_max", "n"):
+        if getattr(cfg, key) is not None:
+            raise ValueError(f"{_flag(key)} only applies to catalog curves")
     try:
         return load_csv(cfg.input)
     except OSError as exc:

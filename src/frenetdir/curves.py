@@ -31,6 +31,9 @@ from .numerics import (
 # at or below this numerical speed a curve counts as degenerate
 SPEED_FLOOR = 1e-9
 
+# samples of a catalog curve's default grid
+DEFAULT_N = 2001
+
 
 @dataclass(frozen=True)
 class CurveSamples:
@@ -180,13 +183,15 @@ def catalog_entry(name: str, parameters=None) -> CatalogEntry:
     return CatalogEntry(name, params, spec_["domain"](params), spec_["about"])
 
 
-def default_grid(entry: CatalogEntry, n: int = 2001) -> Grid:
-    return uniform_grid(entry.domain[0], entry.domain[1], n)
+def default_grid(entry: CatalogEntry) -> Grid:
+    """The entry's own domain at DEFAULT_N samples."""
+    return uniform_grid(entry.domain[0], entry.domain[1], DEFAULT_N)
 
 
 def evaluate_catalog(name: str, parameters=None, grid: Grid = None) -> CurveSamples:
-    """Sample a catalog curve on `grid` (default: the entry's own domain at
-    2001 points).  The grid parameter is arc length for every entry."""
+    """Sample a catalog curve on `grid` (default: default_grid, the entry's
+    own domain at DEFAULT_N points).  The grid parameter is arc length for
+    every entry."""
     entry = catalog_entry(name, parameters)
     if grid is None:
         grid = default_grid(entry)

@@ -26,7 +26,6 @@ from .numerics import (
     _require_fraction,
     _require_same_grid,
     _require_tol,
-    cumulative_integral,
     norm,
     rowdot,
 )
@@ -112,11 +111,12 @@ def _require_unit(X: np.ndarray) -> None:
         raise ValueError(f"field is not unit length (max deviation {worst:.3g})")
 
 
-def integrate_direction_curve(X: VectorSamples, start=(0.0, 0.0, 0.0)) -> CurveSamples:
-    """Integral curve of a unit field over its grid parameter, which is then
-    its arc length; the constructions below use the donor's arc length."""
+def integrate_direction_curve(X: VectorSamples) -> CurveSamples:
+    """Integral curve of a unit field over its grid parameter from the
+    origin; the grid parameter is then its arc length.  The constructions
+    below use the donor's arc length instead."""
     _require_unit(X.data)
-    return CurveSamples(X.grid, cumulative_integral(X, start).data)
+    return CurveSamples(X.grid, _cumulative(X.data, X.grid.h, 0.0))
 
 
 def _arclength_curve(f: FrenetData, X: np.ndarray) -> CurveSamples:

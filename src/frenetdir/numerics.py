@@ -1,6 +1,5 @@
 """Uniform grids, high-order finite differences, cumulative quadrature,
-constancy detection, and the row-wise cross product and norm of (n, 3)
-sample arrays.
+and the row-wise cross product and norm of (n, 3) sample arrays.
 
 Everything downstream differentiates or integrates sampled data through this
 module, so the accuracy budget of the whole package is set here: interior
@@ -53,7 +52,7 @@ blocks: exact, NaN still propagates, and no rows are gathered.  A min is
 minus the max of the negated statistic, which is exact too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial
 
@@ -146,24 +145,6 @@ class VectorSamples:
         object.__setattr__(self, "data", data)
 
 
-@dataclass(frozen=True)
-class ConstancyReport:
-    """Summary statistics answering "is this sampled function constant".
-
-    rel_variation is (max - min) / max(|median|, 1e-12); is_constant holds
-    exactly when rel_variation is below the tolerance the caller supplied.
-    degenerate_zero is set by callers for the all-but-zero case, where the
-    relative measure is meaningless.
-    """
-
-    mean: float
-    min: float
-    max: float
-    rel_variation: float
-    is_constant: bool
-    degenerate_zero: bool = field(default=False)
-
-
 def _span(mask: np.ndarray) -> slice:
     """slice(lo, hi) from the first True row of a boolean mask to just
     past its last one (slice(0, n) when there is none)."""
@@ -204,23 +185,6 @@ def _masked_maxima(mask, stats) -> list:
             maxima.append([np.maximum.reduce(x, where=where, initial=-np.inf) for x in stats(rows)])
     # a curve of at most _BLOCK_ROWS samples is one block: nothing to reduce
     return [float(x) for x in (maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0))]
-
-
-def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
-    """ConstancyReport over a plain array (callers pre-select samples)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("constancy statistics need at least one sample")
-    lo = float(values.min())
-    hi = float(values.max())
-    rel = (hi - lo) / max(abs(float(np.median(values))), 1e-12)
-    return ConstancyReport(
-        mean=float(values.mean()),
-        min=lo,
-        max=hi,
-        rel_variation=rel,
-        is_constant=bool(rel < rel_tol),
-    )
 
 
 def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -413,16 +377,12 @@ def _cumulative(y: np.ndarray, h: float, initial) -> np.ndarray:
     return out
 
 
-def cumulative_integral(f, initial=0.0):
-    """Cumulative integral along the grid, anchored at the first sample.
+def cumulative_integral(f):
+    """Cumulative integral along the grid, anchored at 0 at the first sample.
 
-    result[0] equals `initial`; cubic integrands are reproduced exactly at
-    every sample and the scheme is globally O(h^4) for smooth data.
+    Cubic integrands are reproduced exactly at every sample and the scheme
+    is globally O(h^4) for smooth data.
     """
-    if isinstance(f, ScalarSamples):
-        initial = float(initial)
-    elif isinstance(f, VectorSamples):
-        initial = np.broadcast_to(np.asarray(initial, dtype=float), (3,))
-    else:
+    if not isinstance(f, (ScalarSamples, VectorSamples)):
         raise TypeError("cumulative_integral expects ScalarSamples or VectorSamples")
-    return type(f)(f.grid, _cumulative(f.data, f.grid.h, initial))
+    return type(f)(f.grid, _cumulative(f.data, f.grid.h, 0.0))

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    RATIO_FLOOR,
     LineFit,
     RectifyingReport,
     _fit_line,
@@ -151,7 +150,7 @@ def verify_od_properties(
     g = frenet_apparatus(gamma)
     rect = rectifying_test(gamma, g, tol)
 
-    mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+    mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
     if not np.any(mask):
         raise _no_samples("verify_od_properties")
 

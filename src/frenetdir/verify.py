@@ -19,7 +19,14 @@ from .classify import (
     general_helix_test,
     slant_helix_test,
 )
-from .curves import CurveSamples, catalog_entry, catalog_names, default_grid, evaluate_catalog
+from .curves import (
+    DEFAULT_N,
+    CurveSamples,
+    catalog_entry,
+    catalog_names,
+    default_grid,
+    evaluate_catalog,
+)
 from .direction import (
     direction_field,
     donor_from_direction,
@@ -27,7 +34,7 @@ from .direction import (
     osculating_coefficients,
     osculating_direction_curve,
 )
-from .frenet import frenet_apparatus, frenet_derivative_check, verify_frame
+from .frenet import FRAME_SYSTEM_TOL, frenet_apparatus, frenet_derivative_check, verify_frame
 from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
@@ -68,7 +75,7 @@ def _row(check, curve, deviation, tolerance, exceeds=False, passed=None):
     )
 
 
-def _curve(ctx, name, lo=None, hi=None, n=2001):
+def _curve(ctx, name, lo=None, hi=None, n=DEFAULT_N):
     # keyed on the resolved grid, so a window spelling out the default
     # domain shares the default curve
     grid = default_grid(catalog_entry(name)) if lo is None else uniform_grid(lo, hi, n)
@@ -78,12 +85,12 @@ def _curve(ctx, name, lo=None, hi=None, n=2001):
     return ctx[key]
 
 
-def _frenet(ctx, name, lo=None, hi=None, n=2001):
+def _frenet(ctx, name, lo=None, hi=None, n=DEFAULT_N):
     # computed once per cached curve, on the curve itself
     return frenet_apparatus(_curve(ctx, name, lo, hi, n))
 
 
-def _pair(ctx, name, phase, lo=None, hi=None, n=2001):
+def _pair(ctx, name, phase, lo=None, hi=None, n=DEFAULT_N):
     f = _frenet(ctx, name, lo, hi, n)
     key = ("pair", name, f.grid, phase)
     if key not in ctx:
@@ -170,9 +177,9 @@ def _sigma_rows(ctx):
 def _non_helix_rows(ctx):
     rows = []
     for name, phase, lo, hi, n in (
-        ("circular_helix", np.pi / 4, None, None, 2001),
+        ("circular_helix", np.pi / 4, None, None, DEFAULT_N),
         ("root_curve", 0.2, 0.05, 0.95, 401),
-        ("helix_12_5", 0.11, None, None, 2001),
+        ("helix_12_5", 0.11, None, None, DEFAULT_N),
     ):
         _, _, g = _pair(ctx, name, phase, lo, hi, n)
         rep = general_helix_test(g)
@@ -196,7 +203,7 @@ def _rectifying_rows(ctx):
         ("root_curve", 0.05, 0.95),
         ("helix_12_5", 0.0, 169.0),
     ):
-        f = _frenet(ctx, name, lo, hi, 2001)
+        f = _frenet(ctx, name, lo, hi)
         rep = verify_od_properties(od_osculating_curve(f, p), p)
         dev = max(
             rep.rectifying.normal_component,
@@ -245,7 +252,7 @@ def _property_rows(ctx):
     for name, lo, hi in _RESOLVABLE:
         r = frenet_derivative_check(_frenet(ctx, name, lo, hi))
         dev = max(dev, r.res_T, r.res_N, r.res_B)
-    rows.append(_row("props", "frame-system", dev, 1e-4))
+    rows.append(_row("props", "frame-system", dev, FRAME_SYSTEM_TOL))
 
     dev = 0.0
     for name, lo, hi in _RESOLVABLE:

@@ -22,7 +22,10 @@ before it reduced with where=), verify_od_properties with its frame
 kept 1.70 -> 1.61 (5.4 before that).  classify on a frame whose arc
 length and ratio are already cached went 1.05 -> 0.72, but on a fresh
 frame, as tested here, it peaks at 1.71 either way (3.4 before the
-masked statistics took views), so its bound stays.
+masked statistics took views), so its bound stays.  general_helix_test
+went 0.72 -> 0.38 when the zero-level median of classify.constancy began
+to partition its own copy of |values| in place (overwrite_input) instead
+of a second copy.
 """
 
 import tracemalloc
@@ -30,7 +33,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frenetdir.classify import classify, plane_test
+from frenetdir.classify import classify, general_helix_test, plane_test
 from frenetdir.curves import evaluate_catalog
 from frenetdir.direction import (
     compare_predicted,
@@ -135,6 +138,12 @@ def test_unit_speed_deviation_makes_no_full_length_temporary(frames):
 def test_mannheim_check_gathers_no_rows(frames):
     f, g = frames
     assert traced_peak(lambda: mannheim_check(g, f)) < 0.6
+
+
+def test_general_helix_test_takes_one_median_copy_at_a_time(frames):
+    f, _ = frames
+    general_helix_test(f)  # caches f.ratio
+    assert traced_peak(lambda: general_helix_test(f)) < 0.55
 
 
 def test_classify_on_a_built_frame(frames):

@@ -595,6 +595,29 @@ class TestCsvInput:
         assert err.startswith("error: degenerate curve: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--params", "a=2"), ("--s-min", "5"), ("--s-max", "1"), ("--n", "401")]
+    )
+    def test_catalog_flag_rejected(self, tmp_path, capsys, flag, value):
+        # the file brings its own samples: a grid or parameter flag would
+        # be silently ignored
+        path = tmp_path / "line.csv"
+        write_line_csv(path)
+        code, out, err = run(capsys, "frenet", "--input", str(path), flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} only applies to catalog curves\n"
+
+    def test_config_file_n_rejected(self, tmp_path, capsys):
+        path = tmp_path / "line.csv"
+        write_line_csv(path)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = 401\n")
+        code, out, err = run(capsys, "frenet", "--input", str(path), "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == "error: --n only applies to catalog curves\n"
+
     def test_warped_helix_direct_agreement_passes(self, tmp_path, capsys):
         path = tmp_path / "warped.csv"
         write_xyz_csv(path, warped_helix(*WARPED_HELICES[0])[0])

@@ -107,7 +107,7 @@ class TestEvaluateCatalog:
 
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5", "root_curve", "spherical_helix"])
     def test_unit_speed_on_default_domain(self, name):
-        c = evaluate_catalog(name, grid=default_grid(catalog_entry(name), n=2001))
+        c = evaluate_catalog(name, grid=default_grid(catalog_entry(name)))
         assert unit_speed_deviation(frenet_apparatus(c)) < 1e-4
 
     def test_spherical_lies_on_a_sphere(self):

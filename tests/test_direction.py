@@ -188,13 +188,6 @@ class TestIntegrateDirectionCurve:
         assert np.allclose(gamma.points, expect, atol=1e-12)
         assert unit_speed_deviation(frenet_apparatus(gamma)) <= UNIT_SPEED_TOL
 
-    def test_start_point_offsets_curve(self):
-        g = uniform_grid(0.0, 1.0, 101)
-        X = VectorSamples(g, np.tile([0.0, 0.0, 1.0], (g.n, 1)))
-        gamma = integrate_direction_curve(X, start=(2.0, -1.0, 0.5))
-        assert np.allclose(gamma.points[0], [2.0, -1.0, 0.5])
-        assert np.allclose(gamma.points[-1], [2.0, -1.0, 1.5], atol=1e-12)
-
     def test_matches_refined_quadrature(self):
         # the same construction on a 10x finer grid is an independent oracle
         # for the accumulated integral
@@ -227,9 +220,8 @@ class TestIntegrateDirectionCurve:
     def test_is_the_cumulative_integral_of_the_field(self):
         f, dc = donor("helix_12_5", phase=0.3)
         X = direction_field(f, dc)
-        start = (2.0, -1.0, 0.5)
-        gamma = integrate_direction_curve(X, start)
-        assert np.array_equal(gamma.points, cumulative_integral(X, start).data)
+        gamma = integrate_direction_curve(X)
+        assert np.array_equal(gamma.points, cumulative_integral(X).data)
 
 
 class TestPrincipalAndBinormal:
@@ -508,7 +500,8 @@ class TestMannheim:
         f = frenet_apparatus(evaluate_catalog("circular_helix"))
         phase = np.pi / 2 + v - f.kappa[1000] * f.grid.values[1000]
         dc = osculating_coefficients(f, phase)
-        g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc), start=(1e4, 1e4, 1e4)))
+        gamma = integrate_direction_curve(direction_field(f, dc))
+        g = frenet_apparatus(CurveSamples(gamma.grid, gamma.points + 1e4))
         assert abs(dc.v[1000]) < 2 * v
         report = mannheim_check(g, f)
         assert report.passed and not report.vacuous

@@ -356,7 +356,7 @@ class TestDerivativeIdentities:
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5"])
     def test_catalog_residuals_small(self, name):
         _, f = catalog_frenet(name)
-        r = frenet_derivative_check(f, tol=1e-4)
+        r = frenet_derivative_check(f)
         assert r.passed, r
 
     def test_constant_frame_zero_residuals(self):
@@ -373,7 +373,7 @@ class TestDerivativeIdentities:
             frenet_valid=np.ones(51, dtype=bool),
             speed=ones,
         )
-        r = frenet_derivative_check(f, tol=1e-12)
+        r = frenet_derivative_check(f)
         assert r.passed
         assert max(r.res_T, r.res_N, r.res_B) < 1e-13
 

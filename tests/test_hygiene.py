@@ -1,5 +1,6 @@
 """Imported-but-unused names in the package, its tests and the demos,
-public names that nothing outside the tests uses, row-wise dot
+public names that nothing outside the tests uses, the optional
+parameters of the public callables, row-wise dot
 products taken any other way than through numerics.rowdot, and masked
 max or min reductions taken any other way than through
 numerics._masked_maxima.
@@ -12,6 +13,7 @@ re-exports.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -89,6 +91,38 @@ def test_every_export_is_used_outside_tests():
     for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]:
         used |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert [name for name in frenetdir.__all__ if name not in used] == []
+
+
+# every optional parameter of a public callable: each one doubles the
+# configurations to test, so a new one edits this list in its own diff
+OPTIONAL_PARAMETERS = {
+    "ODParameters": ["phase_c"],
+    "catalog_entry": ["parameters"],
+    "classify": ["rel_tol", "rect_tol"],
+    "compare_predicted": ["atol", "cos_floor"],
+    "evaluate_catalog": ["parameters", "grid"],
+    "general_helix_test": ["rel_tol"],
+    "mannheim_check": ["tol"],
+    "rectifying_test": ["tol"],
+    "run_checks": ["only", "curve", "tol"],
+    "slant_helix_test": ["rel_tol"],
+    "verify_frame": ["tol"],
+    "verify_od_properties": ["tol"],
+}
+
+
+def test_optional_parameters_are_the_listed_ones():
+    found = {}
+    for name in frenetdir.__all__:
+        obj = getattr(frenetdir, name)
+        # exception classes take *args and have no signature
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        optional = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if optional:
+            found[name] = optional
+    assert found == OPTIONAL_PARAMETERS
 
 
 def test_every_row_dot_is_rowdot():

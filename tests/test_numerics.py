@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetdir import numerics
+from frenetdir.classify import ConstancyReport, constancy
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     MIN_SAMPLES,
-    ConstancyReport,
     ScalarSamples,
     VectorSamples,
-    constancy,
+    _cumulative,
     cross,
     cumulative_integral,
     derivative,
@@ -388,18 +388,18 @@ class TestCumulativeIntegral:
         data = np.stack([40 * np.sin(3 * s), s**5 - 2 * s, np.exp(s)], axis=1)
         data[n // 2, 2] = np.nan
         initial = np.array([1.5, -2.0, 1e3])
-        vec = cumulative_integral(VectorSamples(g, data), initial=initial).data
+        vec = _cumulative(data, g.h, initial)
         for k in range(3):
             expected = _cumulative_1d_gather(data[:, k], g.h, initial[k])
-            scalar = cumulative_integral(ScalarSamples(g, data[:, k]), initial=initial[k]).data
+            scalar = _cumulative(data[:, k], g.h, initial[k])
             assert np.array_equal(scalar, expected, equal_nan=True)
             assert np.array_equal(vec[:, k], expected, equal_nan=True)
         assert np.all(np.isfinite(vec[:, :2])) and np.isnan(vec[-1, 2])
 
     def test_starts_at_initial(self):
         g = uniform_grid(0.0, 1.0, 11)
-        out = cumulative_integral(ScalarSamples(g, g.values**2), initial=3.5)
-        assert out.data[0] == 3.5
+        out = _cumulative(g.values**2, g.h, 3.5)
+        assert out[0] == 3.5
 
     def test_cubic_exact_everywhere(self):
         # each panel integrates an interpolating cubic, so cubic integrands
@@ -430,9 +430,8 @@ class TestCumulativeIntegral:
 
     def test_vector_initial_broadcast(self):
         g = uniform_grid(0.0, 1.0, 11)
-        f = VectorSamples(g, np.ones((11, 3)))
-        out = cumulative_integral(f, initial=np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(out.data[-1], [2.0, 3.0, 4.0], atol=1e-12)
+        out = _cumulative(np.ones((11, 3)), g.h, np.array([1.0, 2.0, 3.0]))
+        assert np.allclose(out[-1], [2.0, 3.0, 4.0], atol=1e-12)
 
 
 class TestConstancy:
@@ -450,9 +449,15 @@ class TestConstancy:
         assert r.rel_variation == pytest.approx(1.0 / 1.5, rel=1e-6)
 
     def test_near_zero_median_guard(self):
-        # tiny absolute wobble around zero must not divide by zero
+        # tiny absolute wobble around zero must not divide by zero: below
+        # ZERO_LEVEL it is the identically-zero case, and a zero median of
+        # values far from zero meets the 1e-12 floor
         r = constancy(np.array([-1e-15, 0.0, 1e-15]), rel_tol=1e-3)
         assert np.isfinite(r.rel_variation)
+        assert r.is_constant and r.degenerate_zero
+        r = constancy(np.array([-1.0, 0.0, 1.0]), rel_tol=1e-3)
+        assert r.rel_variation == 2e12
+        assert not r.is_constant and not r.degenerate_zero
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,7 +479,7 @@ def test_derivative_linear_in_data(a, b, c):
 def test_integral_then_derivative_round_trip(initial):
     g = uniform_grid(0.0, 2.0, 81)
     y = np.sin(3 * g.values)
-    integ = cumulative_integral(ScalarSamples(g, y), initial=initial)
+    integ = ScalarSamples(g, _cumulative(y, g.h, initial))
     back = derivative(integ, 1)
     err = np.abs(back.data - y)
     # boundary panels and one-sided derivative rows both lose accuracy at

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetdir import direction, numerics, od
-from frenetdir.classify import RATIO_FLOOR, _resolved_ratio
+from frenetdir.classify import _resolved_ratio
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     direction_field,
@@ -355,7 +355,7 @@ class TestVerify:
         gamma = spherical_image_curve(1.0, 1.0, 4.0, 20001)
         p = ODParameters(1.0, 1.0)
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
         assert isinstance(_rows(mask), slice)
         pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
         expected = np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12))
@@ -364,7 +364,7 @@ class TestVerify:
     @staticmethod
     def gathered_cross_ratio(gamma):
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
         pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
         return mask, float(np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)))
 
@@ -393,7 +393,7 @@ class TestVerify:
         p = ODParameters(1.0, 1.0, 0.3)
         gamma = od_osculating_curve(donor("helix_12_5", 0.0, 169.0, 201), p)
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g, RATIO_FLOOR)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
         row = int(np.argmax(mask)) + int(np.argmin(mask[np.argmax(mask):]))
         assert not mask[row] and mask[row:].any()
         T, B = g.T.copy(), g.B.copy()
@@ -438,9 +438,7 @@ class TestDerivativeIdentity:
         f = _IDENTITY_DONOR
         p = ODParameters(sa * a, sb * b, phase)
         gam = od_osculating_curve(f, p)
-        th = cumulative_integral(
-            ScalarSamples(f.grid, f.kappa), initial=p.phase_c
-        ).data
+        th = p.phase_c + cumulative_integral(ScalarSamples(f.grid, f.kappa)).data
         rho = (f.grid.values - f.grid.values[0]) + p.b
         n = rho * np.cos(th) - p.a * np.sin(th)
         pred = (

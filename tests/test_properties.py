@@ -107,7 +107,7 @@ class TestFrameProperties:
     def test_frame_checks_pass_on_any_window(self, name, t0, t1, n):
         _, f = frame_on_window(name, t0, t1, n=n)
         assert verify_frame(f, tol=1e-6).passed
-        assert frenet_derivative_check(f, tol=1e-4).passed
+        assert frenet_derivative_check(f).passed
 
     @settings(max_examples=10, deadline=None)
     @given(name=_helix_names, phase=st.floats(-np.pi, np.pi))
@@ -126,7 +126,7 @@ class TestFrameProperties:
             grid = None if lo is None else uniform_grid(lo, hi, 2001)
             f = frenet_apparatus(evaluate_catalog(name, grid=grid))
             assert verify_frame(f, tol=1e-6).passed, name
-            assert frenet_derivative_check(f, tol=1e-4).passed, name
+            assert frenet_derivative_check(f).passed, name
 
 
 def _wave(b, c, w1, w2, shift=0.0):

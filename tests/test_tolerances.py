@@ -11,7 +11,6 @@ from frenetdir import (
     compare_predicted,
     evaluate_catalog,
     frenet_apparatus,
-    frenet_derivative_check,
     general_helix_test,
     mannheim_check,
     od_osculating_curve,
@@ -31,7 +30,6 @@ BAD = [np.nan, np.inf, 0.0, -1.0]
 # entry point -> name of its tolerance parameter
 ENTRY_POINTS = {
     "verify_frame": "tol",
-    "frenet_derivative_check": "tol",
     "general_helix_test": "rel_tol",
     "slant_helix_test": "rel_tol",
     "rectifying_test": "tol",
@@ -55,7 +53,6 @@ def calls():
     gamma = od_osculating_curve(f, p)
     return {
         "verify_frame": lambda t: verify_frame(f, tol=t),
-        "frenet_derivative_check": lambda t: frenet_derivative_check(f, tol=t),
         "general_helix_test": lambda t: general_helix_test(f, rel_tol=t),
         "slant_helix_test": lambda t: slant_helix_test(g, rel_tol=t),
         "rectifying_test": lambda t: rectifying_test(c, f, tol=t),
@@ -65,7 +62,6 @@ def calls():
         "compare_predicted": lambda t: compare_predicted(g, pb, dc, atol=t),
         "verify_od_properties": lambda t: verify_od_properties(gamma, p, tol=t),
         "run_checks": lambda t: run_checks(only="constants", tol=t),
-        "slant_helix_test.cos_floor": lambda x: slant_helix_test(g, cos_floor=x),
         "compare_predicted.cos_floor": lambda x: compare_predicted(g, pb, dc, cos_floor=x),
     }
 
@@ -78,7 +74,7 @@ def test_bad_tolerance_rejected_naming_it(calls, entry, bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.0, 2.0], ids=str)
-@pytest.mark.parametrize("entry", ["slant_helix_test", "compare_predicted"])
+@pytest.mark.parametrize("entry", ["compare_predicted"])
 def test_bad_cos_floor_rejected_naming_it(calls, entry, bad):
     # cos_floor is a fraction of the curvature/torsion norm, valid on [0, 1)
     with pytest.raises(ValueError, match="^cos_floor must lie in"):
