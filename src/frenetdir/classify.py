@@ -18,6 +18,7 @@ from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
     ScalarSamples,
+    _HALF,
     _masked_maxima,
     _require_same_grid,
     _require_tol,
@@ -84,12 +85,13 @@ def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
                            degenerate_zero=False)
 
 
-def _resolved_ratio(f: FrenetData) -> np.ndarray:
+def _resolved_ratio(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Rows where curvature is at least RATIO_FLOOR times the
     curvature/torsion norm; below that the torsion/curvature ratio nears
-    its pole and its derivative stencils produce finite garbage."""
+    its pole and its derivative stencils produce finite garbage.  Row by
+    row, so a block of rows gives the same bits as the whole array."""
     with np.errstate(invalid="ignore"):
-        frac = f.kappa / np.sqrt(f.kappa**2 + f.tau**2)
+        frac = kappa / np.sqrt(kappa**2 + tau**2)
     return np.nan_to_num(frac) >= RATIO_FLOOR
 
 
@@ -111,13 +113,20 @@ def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
     """Pointwise turning measure of the principal normal direction:
     curvature^2 / (curvature^2 + torsion^2)^(3/2) times the arc-length
     derivative of torsion/curvature.  NaN where the frame is undefined or
-    the derivative stencil touches such a sample."""
+    the derivative stencil touches such a sample.  Built in place in two
+    (n,) arrays beside the derivative, by the operations of
+    (kappa**2 / (kappa**2 + tau**2)**1.5) * d in their order."""
     if not np.any(f.frenet_valid):
         raise _no_samples("slant_helix_invariant")
     d = f._d_ds(f.ratio)
-    sq = f.kappa**2 + f.tau**2
+    sq = np.square(f.kappa)
+    sigma = np.square(f.tau)
+    sq += sigma
     with np.errstate(invalid="ignore"):
-        sigma = (f.kappa**2 / sq**1.5) * d
+        np.power(sq, 1.5, out=sq)
+        np.square(f.kappa, out=sigma)
+        sigma /= sq
+        sigma *= d
     return ScalarSamples(f.grid, sigma)
 
 
@@ -130,8 +139,9 @@ def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     angle stays constant.  The tripled boundary margin keeps one-sided
     rows of the whole derivative chain out of the statistics, and samples
     where curvature falls below RATIO_FLOOR times the curvature/torsion
-    norm are excluded: the torsion/curvature ratio has a pole there and
-    stencils that straddle it produce finite garbage.
+    norm are excluded, with every sample whose derivative stencil reads
+    one: the torsion/curvature ratio has a pole there and stencils that
+    straddle it produce finite garbage.
 
     An identically-zero invariant (every general helix) is reported
     constant with degenerate_zero set: the constancy claim is true but the
@@ -143,7 +153,13 @@ def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
     mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma)
-    mask &= _resolved_ratio(f)
+    # rows where the ratio nears its pole drop out, and so does every row
+    # whose first-derivative stencil, _HALF[1] rows to either side, reads one
+    resolved = _resolved_ratio(f.kappa, f.tau)
+    mask &= resolved
+    for k in range(1, _HALF[1] + 1):
+        mask[k:] &= resolved[:-k]
+        mask[:-k] &= resolved[k:]
     if not np.any(mask):
         raise _no_samples("slant_helix_test")
     return constancy(np.abs(sigma[mask]), rel_tol)
@@ -232,11 +248,17 @@ def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> Rectif
         np.abs(rowdot(c.points[rows], f.N[rows])),
         norm(c.points[rows]),
     ))
-    normal_component = normal / max(scale, 1e-12)
-
     rows = _rows(mask)
-    s = f.s[rows]
-    fit = _fit_line(s, f.ratio[rows], "rectifying_test")
+    return _rectifying_verdict(normal, scale, f.s[rows], f.ratio[rows], tol)
+
+
+def _rectifying_verdict(normal: float, scale: float, s: np.ndarray, ratio: np.ndarray,
+                        tol: float) -> RectifyingReport:
+    """The verdict of rectifying_test from the worst |<position, N>| and
+    |position| over the usable samples and their arc length and
+    torsion/curvature."""
+    normal_component = normal / max(scale, 1e-12)
+    fit = _fit_line(s, ratio, "rectifying_test")
     span = float(s[-1] - s[0])
     ok = normal_component < tol and fit.max_residual < tol * (1.0 + abs(fit.slope) * span)
     return RectifyingReport(normal_component=normal_component, fit=fit, is_rectifying=bool(ok))

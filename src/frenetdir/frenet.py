@@ -86,22 +86,28 @@ class FrenetData:
     def ratio(self) -> np.ndarray:
         """Torsion over curvature per sample, NaN where frenet_valid is
         false.  Computed once and shared, so it is read-only."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(self.frenet_valid, self.tau / self.kappa, np.nan)
+        out = _ratio(self.kappa, self.tau, self.frenet_valid)
         out.flags.writeable = False
         return out
 
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
         """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)
         or vectors (n, 3)."""
-        speed = self.speed if values.ndim == 1 else self.speed[:, None]
-        return _derivative(values, 1, self.grid.h) / speed
+        out = _derivative(values, 1, self.grid.h)
+        out /= self.speed if values.ndim == 1 else self.speed[:, None]
+        return out
 
     def valid_interior(self, margin: int = BOUNDARY_MARGIN) -> np.ndarray:
         """Boolean mask: frenet_valid and clear of the boundary margin."""
         mask = np.zeros(self.grid.n, dtype=bool)
         mask[self.grid.interior(margin)] = True
         return mask & self.frenet_valid
+
+
+def _ratio(kappa: np.ndarray, tau: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """tau / kappa, NaN where valid is false."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(valid, tau / kappa, np.nan)
 
 
 def frenet_apparatus(c: CurveSamples) -> FrenetData:
@@ -114,21 +120,23 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     speed at or below SPEED_FLOOR (a stalled sample) raises DomainError.
 
     The frame is computed in row blocks of numerics._BLOCK_ROWS (8192)
-    samples, component-major: each block's three derivatives and d1 x d2
-    go into (3, rows) scratch arrays, which stay in L2 cache, and each
-    output array is written once, block by block, with no full-length
-    float temporary.  A block's rows come out bit-identical to a
-    whole-array pass, so no result depends on the block size, and a curve
-    of at most 8192 samples is a single block.  The stalled-sample check
-    runs on each block before any division in it.
+    samples by the kernel _frenet, component-major: each block's three
+    derivatives and d1 x d2 go into (3, rows) scratch arrays, which stay
+    in L2 cache, and each output array is written once, block by block,
+    with no full-length float temporary.  A block's rows come out
+    bit-identical to a whole-array pass, so no result depends on the
+    block size, and a curve of at most 8192 samples is a single block.
+    The stalled-sample check runs on each block before any division in
+    it.
 
     One frame per curve: the result is stored on the curve instance and
     returned as is by every later call on it.  Its arrays are read-only,
     as is CurveSamples.points, so the stored frame cannot go stale.
     """
-    if "_frenet" in c.__dict__:
-        return c.__dict__["_frenet"]
-    n, h = c.grid.n, c.grid.h
+    f = c.__dict__.get("_frenet")
+    if f is not None:
+        return f
+    n = c.grid.n
     blocks = _blocks(slice(0, n))
     # (3, rows) scratch for d1, d2, d3 and d1 x d2 of one block, allocated
     # below the outputs, so that its release leaves a reusable hole: on
@@ -137,39 +145,91 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
     scratch = np.empty((4, 3, blocks[0].stop))
     T, N, B = (np.empty((3, n)).T for _ in range(3))
     kappa, tau, speed = (np.empty(n) for _ in range(3))
+    valid = np.empty(n, dtype=bool)
     for rows in blocks:
-        d1, d2, d3, d1xd2 = (a[:, :rows.stop - rows.start].T for a in scratch)
-        for k, d in zip((1, 2, 3), (d1, d2, d3)):
-            _derivative(c.points, k, h, rows.start, rows.stop, d)
         # every output row is written once, straight into its array
-        sp = norm(d1, out=speed[rows])
-        if not np.all(sp > SPEED_FLOOR):
-            i = rows.start + int(np.argmin(sp > SPEED_FLOOR))
-            raise DomainError(f"degenerate curve: speed {speed[i]:.3g} at sample {i} "
-                              f"(parameter {c.grid.values[i]:g}) is not above {SPEED_FLOOR:g}")
-        cross(d1, d2, out=d1xd2)
-        cross_norm = norm(d1xd2)
-        kappa_rows = np.divide(cross_norm, sp**3, out=kappa[rows])
-        # T is normalized so the triad is orthonormal by construction: B is
-        # unit and perpendicular to d1 already, and N = B x T inherits both.
-        T_rows = T[rows]
-        np.divide(d1.T, sp, out=T_rows.T)
-        # safe denominator; invalid rows are overwritten with NaN below
-        denom = np.where(kappa_rows >= KAPPA_FLOOR, cross_norm, 1.0)
-        B_rows = B[rows]
-        np.divide(d1xd2.T, denom, out=B_rows.T)
-        cross(B_rows, T_rows, out=N[rows])
-        np.divide(rowdot(d1xd2, d3), denom**2, out=tau[rows])
-    valid = kappa >= KAPPA_FLOOR
-    B[~valid] = np.nan
-    N[~valid] = np.nan
-    tau[~valid] = np.nan
+        valid[rows] = _frenet(c, rows, scratch, T[rows], N[rows], B[rows],
+                              kappa[rows], tau[rows], speed[rows])
     for a in (T, N, B, kappa, tau, valid, speed):
         a.flags.writeable = False
 
     # a frozen dataclass still lets its instance __dict__ take the memo
     c.__dict__["_frenet"] = f = FrenetData(c.grid, T, N, B, kappa, tau, valid, speed)
     return f
+
+
+def _frenet(c: CurveSamples, rows: slice, scratch: np.ndarray, T: np.ndarray, N: np.ndarray,
+            B: np.ndarray, kappa: np.ndarray, tau: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """The frame of c on one row block, the kernel of frenet_apparatus.
+
+    The block's three derivatives and d1 x d2 go into scratch, a
+    (4, 3, >= rows) array; T, N and B are written into (rows, 3) arrays
+    and kappa, tau and speed into (rows,) arrays, of any layout.  N, B and
+    tau are NaN where kappa is below KAPPA_FLOOR.  Returns the block's
+    frenet_valid.  A stalled sample raises DomainError before any
+    division."""
+    d1, d2, d3, d1xd2 = (a[:, :rows.stop - rows.start].T for a in scratch)
+    for k, d in zip((1, 2, 3), (d1, d2, d3)):
+        _derivative(c.points, k, c.grid.h, rows.start, rows.stop, d)
+    sp = norm(d1, out=speed)
+    if not np.all(sp > SPEED_FLOOR):
+        i = int(np.argmin(sp > SPEED_FLOOR))
+        raise DomainError(f"degenerate curve: speed {sp[i]:.3g} at sample {rows.start + i} "
+                          f"(parameter {c.grid.values[rows.start + i]:g}) "
+                          f"is not above {SPEED_FLOOR:g}")
+    cross(d1, d2, out=d1xd2)
+    cross_norm = norm(d1xd2)
+    np.divide(cross_norm, sp**3, out=kappa)
+    # T is normalized so the triad is orthonormal by construction: B is
+    # unit and perpendicular to d1 already, and N = B x T inherits both.
+    np.divide(d1.T, sp, out=T.T)
+    valid = kappa >= KAPPA_FLOOR
+    # safe denominator; invalid rows are overwritten with NaN below
+    denom = np.where(valid, cross_norm, 1.0)
+    np.divide(d1xd2.T, denom, out=B.T)
+    cross(B, T, out=N)
+    np.divide(rowdot(d1xd2, d3), denom**2, out=tau)
+    if not valid.all():
+        B[~valid] = np.nan
+        N[~valid] = np.nan
+        tau[~valid] = np.nan
+    return valid
+
+
+def _frame_reader(c: CurveSamples):
+    """(read, scalars) for a caller that reads each row of c's frame once,
+    in row blocks, and stores no frame on c.
+
+    read(rows) gives (T, N, B, kappa, tau, frenet_valid, speed, ratio) on
+    one block of at most numerics._BLOCK_ROWS rows, ratio being
+    FrenetData.ratio.  Once every block has been read, scalars() gives the
+    (n,) arc length and ratio, FrenetData.s and FrenetData.ratio.  If c has
+    a stored frame (frenet_apparatus), these are its rows and arrays.
+    Otherwise read computes the block with frenet_apparatus's kernel into
+    scratch that its next call overwrites, and writes the block's speed
+    and ratio into two (n,) arrays; scalars() integrates that speed.
+    Either way every value is bit-identical to the stored frame's.
+    """
+    f = c.__dict__.get("_frenet")
+    if f is not None:
+        return (lambda r: (f.T[r], f.N[r], f.B[r], f.kappa[r], f.tau[r], f.frenet_valid[r],
+                           f.speed[r], f.ratio[r]),
+                lambda: (f.s, f.ratio))
+    n = c.grid.n
+    size = _blocks(slice(0, n))[0].stop
+    scratch = np.empty((4, 3, size))
+    frame = np.empty((3, 3, size))
+    kappa, tau = np.empty((2, size))
+    speed, ratio = np.empty(n), np.empty(n)
+
+    def read(rows):
+        k = rows.stop - rows.start
+        T, N, B = (a[:, :k].T for a in frame)
+        valid = _frenet(c, rows, scratch, T, N, B, kappa[:k], tau[:k], speed[rows])
+        ratio[rows] = _ratio(kappa[:k], tau[:k], valid)
+        return T, N, B, kappa[:k], tau[:k], valid, speed[rows], ratio[rows]
+
+    return read, lambda: (_cumulative(speed, c.grid.h, c.grid.s_min), ratio)
 
 
 def unit_speed_deviation(f: FrenetData) -> float:

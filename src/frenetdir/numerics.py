@@ -17,10 +17,11 @@ integrating a field, then differentiated up to third order), so the
 quadrature's local error must vary smoothly from panel to panel; see
 _cumulative.
 
-Long per-sample passes (the Frenet frame, the frame, derivative-identity
-and cross-ratio statistics, the osculating-plane companion) run in row
-blocks of _BLOCK_ROWS = 8192 rows: _derivative returns any row range of
-a derivative, and _blocks splits a row range.  A block's (rows, 3) float64
+Long per-sample passes (the Frenet frame, the frame and
+derivative-identity statistics, the osculating-plane companion, and the
+check of a companion, which reads its frame once and stores none) run in
+row blocks of _BLOCK_ROWS = 8192 rows: _derivative returns any row range
+of a derivative, and _blocks splits a row range.  A block's (rows, 3) float64
 temporaries take 192 KiB each, so the few that are live at once stay in a
 core's L2 cache between the passes that write and read them, and a long
 curve makes no full-length temporary that is written once, read once and
@@ -364,8 +365,18 @@ def _cumulative(y: np.ndarray, h: float, initial) -> np.ndarray:
     # the local error sign-coherent along the grid; a scheme that alternates
     # stencils by parity leaves a sawtooth residue that second-derivative
     # stencils amplify by 1/h^2 downstream.
-    panels = np.empty((n - 1, *y.shape[1:]))
-    panels[1:n - 2] = h * (-y[:n - 3] + 13.0 * y[1:n - 2] + 13.0 * y[2:n - 1] - y[3:]) / 24.0
+    # in y's memory layout, so that each in-place term below reads y and
+    # writes the panels in the same order
+    panels = np.empty_like(y, shape=(n - 1, *y.shape[1:]))
+    # h (-y0 + 13 y1 + 13 y2 - y3) / 24, term by term into the panels with
+    # one temporary, 13 y2; 13 y1 - y0 is -y0 + 13 y1 exactly
+    inner = panels[1:n - 2]
+    np.multiply(y[1:n - 2], 13.0, out=inner)
+    inner -= y[:n - 3]
+    inner += 13.0 * y[2:n - 1]
+    inner -= y[3:]
+    inner *= h
+    inner /= 24.0
     panels[0] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
     panels[n - 2] = h * (y[n - 4] - 5.0 * y[n - 3] + 19.0 * y[n - 2] + 9.0 * y[n - 1]) / 24.0
     out = np.empty(y.shape)

@@ -33,13 +33,13 @@ from .classify import (
     RectifyingReport,
     _fit_line,
     _no_samples,
+    _rectifying_verdict,
     _resolved_ratio,
-    rectifying_test,
 )
 from .curves import CurveSamples
 from .direction import _require_valid, osculating_coefficients
 from .errors import DomainError
-from .frenet import FrenetData, frenet_apparatus, unit_speed_deviation
+from .frenet import FrenetData, _frame_reader
 from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
@@ -49,6 +49,7 @@ from .numerics import (
     _rows,
     cross,
     norm,
+    rowdot,
 )
 
 
@@ -94,10 +95,9 @@ def od_osculating_curve(f: FrenetData, p: ODParameters) -> CurveSamples:
     return CurveSamples(grid=f.grid, points=pts)
 
 
-def _darboux(f: FrenetData, rows: slice) -> np.ndarray:
-    """(torsion/curvature) T + B on the given rows, NaN where the ratio
-    is."""
-    return f.ratio[rows, None] * f.T[rows] + f.B[rows]
+def _darboux(ratio: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(torsion/curvature) T + B row by row, NaN where the ratio is."""
+    return ratio[:, None] * T + B
 
 
 def modified_darboux(f: FrenetData) -> VectorSamples:
@@ -112,15 +112,15 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
         raise DomainError("modified_darboux: curvature below floor everywhere")
     # NaN on every row without a frame, whatever a hand-built FrenetData
     # holds there: FrenetData.ratio is NaN there, and so is NaN * T + B
-    return VectorSamples(f.grid, _darboux(f, slice(None)))
+    return VectorSamples(f.grid, _darboux(f.ratio, f.T, f.B))
 
 
 @dataclass(frozen=True)
 class ODReport:
     """Measured distance from the three companion-curve properties.
 
-    speed_deviation is unit_speed_deviation of the input's FrenetData:
-    max |speed - 1| over interior rows, against the grid parameter.
+    speed_deviation is unit_speed_deviation of the input's frame: max
+    |speed - 1| over interior rows, against the grid parameter.
     ratio_fit is the least-squares line of torsion/curvature against arc
     length from the first sample; slope_error and intercept_error compare
     it with the predicted (s + b)/a.  cross_ratio is the worst normalized
@@ -145,28 +145,60 @@ def verify_od_properties(
 
     Generic: any sampled curve on any regular parameter can be checked;
     the ratio line is fitted against the curve's own arc length.
+
+    The check stores no frame on gamma.  It reads the frame once, in row
+    blocks (frenet._frame_reader): the rows of a frame that
+    frenet_apparatus already stored on gamma, or else rows computed by
+    its kernel into block scratch.  Every worst-row statistic reduces in
+    that one pass, and besides the statistics only per-sample scalars
+    are kept: speed, torsion/curvature and the rows each statistic
+    judges.  The report is bit-identical either way, and to
+    rectifying_test and unit_speed_deviation on frenet_apparatus(gamma).
     """
     _require_tol("tol", tol)
-    g = frenet_apparatus(gamma)
-    rect = rectifying_test(gamma, g, tol)
+    grid = gamma.grid
+    read, scalars = _frame_reader(gamma)
+    # the rows each statistic judges: inner those of unit_speed_deviation,
+    # usable those of rectifying_test (valid_interior()), fitted those of
+    # the ratio line and the cross ratio; the pass adds the frame
+    # conditions of the last two block by block
+    inner = np.zeros(grid.n, dtype=bool)
+    inner[grid.interior()] = True
+    usable = inner.copy()
+    fitted = np.zeros(grid.n, dtype=bool)
+    fitted[grid.interior(2 * BOUNDARY_MARGIN)] = True
 
-    mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
-    if not np.any(mask):
+    def stats(rows):
+        T, N, B, kappa, tau, valid, speed, ratio = read(rows)
+        on_frame = usable[rows]
+        on_frame &= valid
+        on_line = fitted[rows]
+        on_line &= on_frame
+        on_line &= _resolved_ratio(kappa, tau)
+        # the axis is the modified Darboux vector
+        pts, ax = gamma.points[rows], _darboux(ratio, T, B)
+        reach = norm(pts)
+        sines = norm(cross(pts, ax)) / np.maximum(reach * norm(ax), 1e-12)
+        # a row outside a statistic's rows is -inf, which no max reads
+        return [np.where(on_frame, np.abs(rowdot(pts, N)), -np.inf),
+                np.where(on_frame, reach, -np.inf),
+                np.where(on_line, sines, -np.inf),
+                np.where(inner[rows], np.abs(speed - 1.0), -np.inf)]
+
+    normal, scale, cross_ratio, speed_deviation = _masked_maxima(slice(0, grid.n), stats)
+    s, ratio = scalars()
+
+    if not np.any(usable):
+        raise _no_samples("rectifying_test")
+    rows = _rows(usable)
+    rect = _rectifying_verdict(normal, scale, s[rows], ratio[rows], tol)
+
+    if not np.any(fitted):
         raise _no_samples("verify_od_properties")
-
-    rows = _rows(mask)
-    srel = g.s[rows] - g.s[0]
-    fit = _fit_line(srel, g.ratio[rows], "verify_od_properties")
+    rows = _rows(fitted)
+    fit = _fit_line(s[rows] - s[0], ratio[rows], "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
-
-    # the axis is the modified Darboux vector, built block by block; the
-    # masked rows all have a frame
-    def sines(r):
-        pts, ax = gamma.points[r], _darboux(g, r)
-        return [norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)]
-
-    (cross_ratio,) = _masked_maxima(mask, sines)
 
     passed = bool(
         rect.is_rectifying
@@ -175,7 +207,7 @@ def verify_od_properties(
         and cross_ratio < tol
     )
     return ODReport(
-        speed_deviation=unit_speed_deviation(g),
+        speed_deviation=speed_deviation,
         rectifying=rect,
         ratio_fit=fit,
         slope_error=slope_error,

@@ -25,7 +25,12 @@ frame, as tested here, it peaks at 1.71 either way (3.4 before the
 masked statistics took views), so its bound stays.  general_helix_test
 went 0.72 -> 0.38 when the zero-level median of classify.constancy began
 to partition its own copy of |values| in place (overwrite_input) instead
-of a second copy.
+of a second copy.  verify_od_properties on a curve without a stored frame
+went 6.08 -> 2.77 units at n = 200001 (units of that size) when it began
+to read the frame block by block and store none; slant_helix_invariant
+went 1.67 -> 1.00 (slant_helix_test 1.67 -> 1.38) when it was built in
+place, and cumulative_integral on (n, 3) data 3.0 -> 2.0 when its panels
+were written term by term.
 """
 
 import tracemalloc
@@ -33,8 +38,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frenetdir.classify import classify, general_helix_test, plane_test
-from frenetdir.curves import evaluate_catalog
+from frenetdir.classify import (
+    classify,
+    general_helix_test,
+    plane_test,
+    slant_helix_invariant,
+    slant_helix_test,
+)
+from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     compare_predicted,
     direction_field,
@@ -50,7 +61,7 @@ from frenetdir.frenet import (
     unit_speed_deviation,
     verify_frame,
 )
-from frenetdir.numerics import uniform_grid
+from frenetdir.numerics import VectorSamples, cumulative_integral, uniform_grid
 from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 
 N = 20001
@@ -58,8 +69,9 @@ UNIT = N * 3 * 8
 PHASE = np.pi / 4
 
 
-def traced_peak(call):
-    """Peak traced memory above the level at the call, in UNITs."""
+def traced_peak(call, unit=UNIT):
+    """Peak traced memory above the level at the call, in UNITs (or in
+    the given unit)."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -67,7 +79,7 @@ def traced_peak(call):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         call()
-        return (tracemalloc.get_traced_memory()[1] - base) / UNIT
+        return (tracemalloc.get_traced_memory()[1] - base) / unit
     finally:
         if started:
             tracemalloc.stop()
@@ -93,10 +105,12 @@ def frames():
 @pytest.fixture(scope="module")
 def companion():
     # the companion's ratio nears its pole twice near the start, so the
-    # mask of its checks has three runs
+    # mask of its checks has three runs; verify_od_properties stores no
+    # frame, so the stored frame it reads here is built first
     p = ODParameters(1.0, 1.0, 0.3)
     donor = frenet_apparatus(evaluate_catalog("helix_12_5", grid=uniform_grid(0.0, 1000.0, N)))
     gamma = od_osculating_curve(donor, p)
+    frenet_apparatus(gamma)
     verify_od_properties(gamma, p)
     return donor, gamma, p
 
@@ -171,6 +185,36 @@ def test_compare_predicted_gathers_no_rows_of_a_multi_run_mask(frames):
 def test_verify_od_properties_builds_no_axis_array(companion):
     _, gamma, p = companion
     assert traced_peak(lambda: verify_od_properties(gamma, p)) < 1.65
+
+
+def test_verify_od_properties_stores_no_frame_on_a_fresh_curve():
+    # n = 200001, the large benchmark size, where the frame it stored
+    # peaked at 6.08 units; only per-sample scalars and block scratch now
+    n = 200001
+    p = ODParameters(1.0, 1.0, 0.3)
+    grid = uniform_grid(0.0, 1000.0 * (n - 1) / (N - 1), n)
+    donor = frenet_apparatus(evaluate_catalog("helix_12_5", grid=grid))
+    gamma = od_osculating_curve(donor, p)
+    verify_od_properties(CurveSamples(grid, gamma.points), p)
+    fresh = CurveSamples(grid, gamma.points)
+    assert traced_peak(lambda: verify_od_properties(fresh, p), unit=n * 3 * 8) < 4.0
+    assert "_frenet" not in fresh.__dict__
+
+
+def test_slant_helix_invariant_builds_its_result_in_place(frames):
+    # 1.67 when each factor was a whole-array temporary
+    _, g = frames
+    slant_helix_test(g)  # caches g.ratio
+    assert traced_peak(lambda: slant_helix_invariant(g)) < 1.3
+    assert traced_peak(lambda: slant_helix_test(g)) < 1.5
+
+
+def test_cumulative_integral_writes_its_panels_term_by_term(frames):
+    # 3.0 when the interior panels were one whole-array expression
+    f, _ = frames
+    T = VectorSamples(f.grid, f.T)
+    cumulative_integral(T)
+    assert traced_peak(lambda: cumulative_integral(T)) < 2.5
 
 
 def test_od_osculating_curve_writes_one_position_array(companion):

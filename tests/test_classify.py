@@ -22,7 +22,7 @@ from frenetdir.classify import (
     slant_helix_invariant,
     slant_helix_test,
 )
-from frenetdir.curves import CurveSamples, evaluate_catalog
+from frenetdir.curves import CurveSamples, catalog_entry, evaluate_catalog
 from frenetdir.direction import osculating_direction_curve
 from frenetdir.errors import DomainError
 from frenetdir.frenet import frenet_apparatus
@@ -191,6 +191,18 @@ class TestSlantHelixTest:
         rep = slant_helix_test(g)
         assert rep.is_constant
         assert abs(rep.mean - 0.5) < 1e-2
+
+    def test_rows_whose_stencil_reads_a_pole_are_excluded(self):
+        # n = 201: rows 48 and 52 clear the ratio floor themselves, but
+        # their five-point stencils read row 50, below it (its curvature
+        # is 1.1e-7), and give |sigma| = 2.1e11
+        lo, hi = catalog_entry("circular_helix").domain
+        g = dir_curve(donor("circular_helix", lo, hi, 201), 0.0)
+        sigma = slant_helix_invariant(g).data
+        assert np.abs(sigma[[48, 52]]).min() > 1e11
+        rep = slant_helix_test(g)
+        assert rep.max < 1.001
+        assert abs(rep.mean - 1.0) < 1e-2
 
     def test_pole_rows_break_constancy_without_exclusion(self):
         g = dir_curve(donor("helix_12_5"), 0.11)

@@ -354,7 +354,7 @@ class TestDirect:
             capsys, "direct", "--curve", "helix_12_5", "--phase-c", "0.11"
         )
         assert code == 0
-        assert "sigma: mean=2.39998" in out
+        assert "sigma: mean=2.39999" in out
         assert "constant=yes" in out
 
     def test_principal_family_on_line_is_domain_error(self, tmp_path, capsys):

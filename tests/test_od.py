@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetdir import direction, numerics, od
-from frenetdir.classify import _resolved_ratio
+from frenetdir import direction, numerics
+from frenetdir.classify import _resolved_ratio, rectifying_test
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     direction_field,
@@ -113,6 +113,26 @@ def helix_12_5_reference(grid, a, b, phase):
             (5 / 13) * m,
         ]
     )
+
+
+def fresh(c):
+    """The same samples on a curve with no stored frame."""
+    return CurveSamples(c.grid, c.points)
+
+
+def checked_curves():
+    """(curve, parameters) pairs that verify_od_properties is tested on."""
+    p = ODParameters(1.0, 1.0, 0.3)
+    # three mask runs, over three row blocks
+    yield od_osculating_curve(donor("helix_12_5", 0.0, 1000.0, 20001), p), p
+    yield spherical_image_curve(1.0, 1.0, 4.0, 2001), ODParameters(1.0, 1.0)
+    yield spherical_image_curve(2.0, 0.7, 5.0, 1001), ODParameters(2.0, 0.7)
+    u = np.linspace(0.0, 1.0, 2001)
+    s = 1.0 + 4.0 * (u + 0.3 * np.sin(2 * np.pi * u) / (2 * np.pi))
+    warped = CurveSamples(uniform_grid(0.0, 1.0, 2001), spherical_image_points(1.0, s))
+    yield warped, ODParameters(1.0, 1.0)
+    p = ODParameters(1.0, 1.0, np.arctan2(1.0, 1.0))
+    yield od_osculating_curve(frenet_apparatus(matched_profile_donor(1.0, 1.0, 4.0, 1001)), p), p
 
 
 class TestODParameters:
@@ -267,10 +287,12 @@ class TestModifiedDarboux:
 class TestVerify:
     def test_one_usable_sample_is_domain_error(self):
         # 13 samples leave one row clear of the doubled boundary margin, too
-        # few for the ratio line
+        # few for the ratio line, without a stored frame and with one
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.2, 13))
-        with pytest.raises(DomainError, match="line fit needs 2 usable samples, got 1"):
-            verify_od_properties(c, ODParameters(1.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="line fit needs 2 usable samples, got 1"):
+                verify_od_properties(c, ODParameters(1.0, 1.0))
+            frenet_apparatus(c)
 
     def test_rectifying_reference_curve_passes(self):
         c = spherical_image_curve(1.0, 1.0, 4.0, 2001)
@@ -355,7 +377,7 @@ class TestVerify:
         gamma = spherical_image_curve(1.0, 1.0, 4.0, 20001)
         p = ODParameters(1.0, 1.0)
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g.kappa, g.tau)
         assert isinstance(_rows(mask), slice)
         pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
         expected = np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12))
@@ -364,7 +386,7 @@ class TestVerify:
     @staticmethod
     def gathered_cross_ratio(gamma):
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g.kappa, g.tau)
         pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
         return mask, float(np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)))
 
@@ -387,24 +409,55 @@ class TestVerify:
         assert not isinstance(_rows(mask), slice)
         assert verify_od_properties(gamma, p).cross_ratio == expected
 
-    def test_rows_outside_the_mask_raise_no_warning(self, monkeypatch):
+    def test_rows_outside_the_mask_raise_no_warning(self):
         # inf - inf in the modified Darboux vector of a row near the
-        # ratio's pole, between two runs of the mask
+        # ratio's pole, between two runs of the mask; the check reads the
+        # broken frame as the stored frame of a copy of the curve
         p = ODParameters(1.0, 1.0, 0.3)
         gamma = od_osculating_curve(donor("helix_12_5", 0.0, 169.0, 201), p)
         g = frenet_apparatus(gamma)
-        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g.kappa, g.tau)
         row = int(np.argmax(mask)) + int(np.argmin(mask[np.argmax(mask):]))
         assert not mask[row] and mask[row:].any()
         T, B = g.T.copy(), g.B.copy()
         T[row], B[row] = np.inf, -np.sign(g.ratio[row]) * np.inf
-        broken = FrenetData(g.grid, T, g.N, B, g.kappa, g.tau, g.frenet_valid, g.speed)
-        monkeypatch.setattr(od, "frenet_apparatus", lambda c: broken)
+        broken = CurveSamples(gamma.grid, gamma.points)
+        broken.__dict__["_frenet"] = FrenetData(g.grid, T, g.N, B, g.kappa, g.tau,
+                                                g.frenet_valid, g.speed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = verify_od_properties(gamma, p)
-        monkeypatch.undo()
+            report = verify_od_properties(broken, p)
         assert report == verify_od_properties(gamma, p)
+
+    @pytest.mark.parametrize("gamma, p", list(checked_curves()),
+                             ids=["companion", "sphere", "sphere-2-0.7", "warped", "matched"])
+    def test_fresh_curve_reports_what_its_stored_frame_gives(self, gamma, p):
+        copy = fresh(gamma)
+        report = verify_od_properties(copy, p)
+        assert "_frenet" not in copy.__dict__
+        g = frenet_apparatus(gamma)
+        assert report == verify_od_properties(gamma, p)
+        assert report.rectifying == rectifying_test(gamma, g)
+        assert report.speed_deviation == unit_speed_deviation(g)
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_fresh_curve_reports_the_same_for_any_block_size(self, monkeypatch, block_rows):
+        p = ODParameters(1.0, 1.0, 0.3)
+        gamma = od_osculating_curve(donor("helix_12_5", 0.0, 169.0, 201), p)
+        frenet_apparatus(gamma)
+        expected = verify_od_properties(gamma, p)
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", block_rows)
+        assert verify_od_properties(fresh(gamma), p) == expected
+
+    def test_stalled_sample_of_a_fresh_curve_is_named(self):
+        # the stall is in the second row block, as in frenet_apparatus
+        g = uniform_grid(0.0, 2.0, 20001)
+        pts = np.stack([np.cos(g.values), np.sin(g.values), g.values], axis=1)
+        pts[8998:9003] = pts[8998]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"degenerate curve: .* at sample 9000 \(parameter 0.9\)"):
+                verify_od_properties(CurveSamples(g, pts), ODParameters(1.0, 1.0))
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError, match="tol"):
