@@ -47,14 +47,21 @@ class CurveSamples:
     so later writes to the caller's array cannot change the curve, nor the
     Frenet apparatus that frenet_apparatus computes once per curve and
     keeps.  The copy is C-ordered whatever the layout of the caller's
-    array, so every pass over the points reads contiguous rows.
+    array, so every pass over the points reads contiguous rows.  A curve
+    the library builds (evaluate_catalog, the direction curves, the
+    osculating-plane companion, arclength_reparametrize) keeps the array
+    it was built in instead of a copy (_built_curve): the same checks,
+    and the same read-only, C-ordered points.
     """
 
     grid: Grid
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, order="C")
+        self._keep(np.array(self.points, dtype=float, order="C"))
+
+    def _keep(self, pts: np.ndarray) -> None:
+        """Check pts against the grid, make it read-only and keep it."""
         if pts.shape != (self.grid.n, 3):
             raise ValueError(f"points shape {pts.shape} does not match grid n={self.grid.n}")
         if not np.isfinite(pts).all():
@@ -62,6 +69,16 @@ class CurveSamples:
             raise DomainError(f"non-finite point at sample {i} (s={self.grid.values[i]:g})")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+
+def _built_curve(grid: Grid, points: np.ndarray) -> CurveSamples:
+    """A CurveSamples that keeps points, an array the library has just
+    built and holds no other reference to, rather than a copy of it.  It
+    is copied only if it is not C-ordered float64."""
+    c = object.__new__(CurveSamples)
+    object.__setattr__(c, "grid", grid)
+    c._keep(np.asarray(points, dtype=float, order="C"))
+    return c
 
 
 @dataclass(frozen=True)
@@ -200,8 +217,7 @@ def evaluate_catalog(name: str, parameters=None, grid: Grid = None) -> CurveSamp
         raise DomainError(f"grid s_min={grid.s_min:g} below {name} domain bound {lo:g}")
     if grid.s_max > hi:
         raise DomainError(f"grid s_max={grid.s_max:g} above {name} domain bound {hi:g}")
-    points = _CATALOG[name]["points"](entry.parameters, grid.values)
-    return CurveSamples(grid=grid, points=points)
+    return _built_curve(grid, _CATALOG[name]["points"](entry.parameters, grid.values))
 
 
 def load_csv(path) -> CurveSamples:
@@ -343,4 +359,4 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
     # guard the spline against interpolation overshoot at the ends
     t_out = np.clip(t_out, c.grid.s_min, c.grid.s_max)
     spline = CubicSpline(c.grid.values, c.points, axis=0)
-    return CurveSamples(grid=out_grid, points=spline(t_out))
+    return _built_curve(out_grid, spline(t_out))

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveSamples
+from .curves import CurveSamples, _built_curve
 from .errors import DomainError
 from .frenet import KAPPA_FLOOR, FrenetData
 from .numerics import (
     Grid,
     ScalarSamples,
     VectorSamples,
+    _blocks,
     _cumulative,
     _masked_maxima,
     _require_fraction,
@@ -98,10 +99,14 @@ def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficie
 
 
 def direction_field(f: FrenetData, dc: DirectionCoefficients) -> VectorSamples:
-    """The unit field u T + v N sampled along the donor."""
+    """The unit field u T + v N sampled along the donor, written in row
+    blocks (numerics._BLOCK_ROWS) into one component-major (n, 3) array,
+    laid out like the frame."""
     _require_same_grid(f.grid, dc.grid)
     _require_valid(f, "direction_field")
-    X = dc.u[:, None] * f.T + dc.v[:, None] * f.N
+    X = np.empty((3, f.grid.n)).T
+    for r in _blocks(slice(0, f.grid.n)):
+        np.add(dc.u[r] * f.T[r].T, dc.v[r] * f.N[r].T, out=X[r].T)
     return VectorSamples(f.grid, X)
 
 
@@ -116,14 +121,14 @@ def integrate_direction_curve(X: VectorSamples) -> CurveSamples:
     origin; the grid parameter is then its arc length.  The constructions
     below use the donor's arc length instead."""
     _require_unit(X.data)
-    return CurveSamples(X.grid, _cumulative(X.data, X.grid.h, 0.0))
+    return _built_curve(X.grid, _cumulative(X.data, X.grid.h, 0.0))
 
 
 def _arclength_curve(f: FrenetData, X: np.ndarray) -> CurveSamples:
     """Integral of the unit field X over the donor's arc length from the
     origin, sampled on the donor's grid."""
     _require_unit(X)
-    return CurveSamples(f.grid, _cumulative(X * f.speed[:, None], f.grid.h, 0.0))
+    return _built_curve(f.grid, _cumulative(X * f.speed[:, None], f.grid.h, 0.0))
 
 
 def osculating_direction_curve(f: FrenetData, phase_c: float) -> CurveSamples:
@@ -228,12 +233,18 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
         raise DomainError(
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
-    sq = g.kappa**2 + g.tau**2
-    ratio = g._d_ds(g.ratio)
-    kappa = (g.kappa**2 / sq) * ratio
+    # in place, by the operations of (kappa**2 / (kappa**2 + tau**2)) * d
+    # and sqrt(kappa**2 + tau**2) in their order, d the ratio's derivative
+    d = g._d_ds(g.ratio)
+    sq = np.square(g.kappa)
+    kappa = np.square(g.tau)
+    sq += kappa
+    np.square(g.kappa, out=kappa)
+    kappa /= sq
+    kappa *= d
     return RecoveredCurvatures(
         kappa=ScalarSamples(g.grid, kappa),
-        tau=ScalarSamples(g.grid, np.sqrt(sq)),
+        tau=ScalarSamples(g.grid, np.sqrt(sq, out=sq)),
     )
 
 

@@ -207,8 +207,11 @@ def _frame_reader(c: CurveSamples):
     a stored frame (frenet_apparatus), these are its rows and arrays.
     Otherwise read computes the block with frenet_apparatus's kernel into
     scratch that its next call overwrites, and writes the block's speed
-    and ratio into two (n,) arrays; scalars() integrates that speed.
-    Either way every value is bit-identical to the stored frame's.
+    and ratio into two (n,) arrays.  scalars() then frees the scratch,
+    integrates the speed into its own array, and lets go of both arrays,
+    so the reader holds nothing once the caller drops them; read cannot be
+    called after it.  Either way every value is bit-identical to the
+    stored frame's.
     """
     f = c.__dict__.get("_frenet")
     if f is not None:
@@ -229,7 +232,15 @@ def _frame_reader(c: CurveSamples):
         ratio[rows] = _ratio(kappa[:k], tau[:k], valid)
         return T, N, B, kappa[:k], tau[:k], valid, speed[rows], ratio[rows]
 
-    return read, lambda: (_cumulative(speed, c.grid.h, c.grid.s_min), ratio)
+    def scalars():
+        nonlocal scratch, frame, kappa, tau, speed, ratio
+        del scratch, frame, kappa, tau
+        # the arc length overwrites the speed it integrates
+        out = _cumulative(speed, c.grid.h, c.grid.s_min, out=speed), ratio
+        del speed, ratio
+        return out
+
+    return read, scalars
 
 
 def unit_speed_deviation(f: FrenetData) -> float:

@@ -356,9 +356,10 @@ def derivative(f, order: int):
     return type(f)(f.grid, _derivative(f.data, order, f.grid.h))
 
 
-def _cumulative(y: np.ndarray, h: float, initial) -> np.ndarray:
+def _cumulative(y: np.ndarray, h: float, initial, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative integral of (n,) or (n, 3) data; initial is a float or
-    one value per column."""
+    one value per column.  Written into out if given, which may be y
+    itself: every panel is complete before out is written."""
     n = y.shape[0]
     # Integral over each single interval from the cubic through the four
     # nearest nodes.  One stencil family for every interior interval keeps
@@ -368,18 +369,21 @@ def _cumulative(y: np.ndarray, h: float, initial) -> np.ndarray:
     # in y's memory layout, so that each in-place term below reads y and
     # writes the panels in the same order
     panels = np.empty_like(y, shape=(n - 1, *y.shape[1:]))
-    # h (-y0 + 13 y1 + 13 y2 - y3) / 24, term by term into the panels with
-    # one temporary, 13 y2; 13 y1 - y0 is -y0 + 13 y1 exactly
+    # h (-y0 + 13 y1 + 13 y2 - y3) / 24, term by term into the panels; 13 y1
+    # - y0 is -y0 + 13 y1 exactly, and the one temporary, 13 y2, is made
+    # block by block
     inner = panels[1:n - 2]
     np.multiply(y[1:n - 2], 13.0, out=inner)
     inner -= y[:n - 3]
-    inner += 13.0 * y[2:n - 1]
+    for rows in _blocks(slice(0, n - 3)):
+        inner[rows] += 13.0 * y[2 + rows.start:2 + rows.stop]
     inner -= y[3:]
     inner *= h
     inner /= 24.0
     panels[0] = h * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]) / 24.0
     panels[n - 2] = h * (y[n - 4] - 5.0 * y[n - 3] + 19.0 * y[n - 2] + 9.0 * y[n - 1]) / 24.0
-    out = np.empty(y.shape)
+    if out is None:
+        out = np.empty(y.shape)
     out[0] = initial
     # a running sum down each column, then the offset: the same additions
     # as initial + np.cumsum(column), without a temporary per column

@@ -36,7 +36,7 @@ from .classify import (
     _rectifying_verdict,
     _resolved_ratio,
 )
-from .curves import CurveSamples
+from .curves import CurveSamples, _built_curve
 from .direction import _require_valid, osculating_coefficients
 from .errors import DomainError
 from .frenet import FrenetData, _frame_reader
@@ -92,7 +92,7 @@ def od_osculating_curve(f: FrenetData, p: ODParameters) -> CurveSamples:
         n = rho * dc.v[r] - p.a * dc.u[r]
         # component-major: one contiguous pass per component
         np.add(m * f.T[r].T, n * f.N[r].T, out=pts[r].T)
-    return CurveSamples(grid=f.grid, points=pts)
+    return _built_curve(f.grid, pts)
 
 
 def _darboux(ratio: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -152,8 +152,12 @@ def verify_od_properties(
     its kernel into block scratch.  Every worst-row statistic reduces in
     that one pass, and besides the statistics only per-sample scalars
     are kept: speed, torsion/curvature and the rows each statistic
-    judges.  The report is bit-identical either way, and to
-    rectifying_test and unit_speed_deviation on frenet_apparatus(gamma).
+    judges.  On a fresh curve the scratch goes after the pass, the arc
+    length overwrites the speed, and each line fit holds only what it
+    reads: the ratio line its rows of s - s[0] and torsion/curvature,
+    gathered once, and its own centred pair, four (n,) arrays at most.
+    The report is bit-identical either way, and to rectifying_test and
+    unit_speed_deviation on frenet_apparatus(gamma).
     """
     _require_tol("tol", tol)
     grid = gamma.grid
@@ -192,11 +196,21 @@ def verify_od_properties(
         raise _no_samples("rectifying_test")
     rows = _rows(usable)
     rect = _rectifying_verdict(normal, scale, s[rows], ratio[rows], tol)
+    del usable, inner
 
     if not np.any(fitted):
         raise _no_samples("verify_od_properties")
+    # the line's abscissa s - s[0] and ordinate ratio on its rows, each
+    # gathered once; the full arrays go before the fit, which makes two
+    # more of the same length
     rows = _rows(fitted)
-    fit = _fit_line(s[rows] - s[0], ratio[rows], "verify_od_properties")
+    x, y = s[rows], ratio[rows]
+    if isinstance(rows, slice):
+        x = x - s[0]  # x is a view of s
+    else:
+        x -= s[0]
+    del s, ratio, rows, fitted
+    fit = _fit_line(x, y, "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)
 

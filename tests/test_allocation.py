@@ -1,5 +1,6 @@
 """Traced allocation peaks of the statistics and kernels on a large curve,
-in units of one (n, 3) float64 array at n = 20001.
+in units of one (n, 3) float64 array at n = 20001 (at n = 200001, the
+large benchmark size, for the tests on the large companion).
 
 Masked statistics select a one-run mask's rows through a view, the
 stencil and quadrature kernels write into one output array, the Frenet
@@ -27,10 +28,16 @@ went 0.72 -> 0.38 when the zero-level median of classify.constancy began
 to partition its own copy of |values| in place (overwrite_input) instead
 of a second copy.  verify_od_properties on a curve without a stored frame
 went 6.08 -> 2.77 units at n = 200001 (units of that size) when it began
-to read the frame block by block and store none; slant_helix_invariant
-went 1.67 -> 1.00 (slant_helix_test 1.67 -> 1.38) when it was built in
-place, and cumulative_integral on (n, 3) data 3.0 -> 2.0 when its panels
-were written term by term.
+to read the frame block by block and store none, and 2.77 -> 1.46 when
+its block scratch went before the arc length, which now overwrites the
+speed, and its ratio-line fit began to gather its rows once and drop the
+full arrays first; slant_helix_invariant went 1.67 -> 1.00
+(slant_helix_test 1.67 -> 1.38) when it was built in place, and
+cumulative_integral on (n, 3) data 3.0 -> 2.0 when its panels were
+written term by term.  At n = 200001, od_osculating_curve went 2.14 ->
+1.14 when a curve the library builds began to keep its points instead
+of a copy, and direction_field 2.00 -> 1.08 when it was written block by
+block; donor_from_direction went 1.38 -> 1.04 when it was built in place.
 """
 
 import tracemalloc
@@ -49,6 +56,7 @@ from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     compare_predicted,
     direction_field,
+    donor_from_direction,
     integrate_direction_curve,
     mannheim_check,
     osculating_coefficients,
@@ -66,6 +74,7 @@ from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 
 N = 20001
 UNIT = N * 3 * 8
+LARGE_UNIT = 200001 * 3 * 8
 PHASE = np.pi / 4
 
 
@@ -187,18 +196,48 @@ def test_verify_od_properties_builds_no_axis_array(companion):
     assert traced_peak(lambda: verify_od_properties(gamma, p)) < 1.65
 
 
-def test_verify_od_properties_stores_no_frame_on_a_fresh_curve():
-    # n = 200001, the large benchmark size, where the frame it stored
-    # peaked at 6.08 units; only per-sample scalars and block scratch now
+@pytest.fixture(scope="module")
+def large_companion():
+    # n = 200001, the large benchmark size: the companion of the fixture
+    # above on a grid ten times finer
     n = 200001
     p = ODParameters(1.0, 1.0, 0.3)
     grid = uniform_grid(0.0, 1000.0 * (n - 1) / (N - 1), n)
     donor = frenet_apparatus(evaluate_catalog("helix_12_5", grid=grid))
     gamma = od_osculating_curve(donor, p)
     verify_od_properties(CurveSamples(grid, gamma.points), p)
-    fresh = CurveSamples(grid, gamma.points)
-    assert traced_peak(lambda: verify_od_properties(fresh, p), unit=n * 3 * 8) < 4.0
+    return donor, gamma, p
+
+
+def test_verify_od_properties_stores_no_frame_on_a_fresh_curve(large_companion):
+    # the frame it stored peaked at 6.08 units, the speed, a separate arc
+    # length and the gathered fit rows beside it at 2.77; now the arc
+    # length overwrites the speed and the fit holds four (n,) arrays
+    _, gamma, p = large_companion
+    fresh = CurveSamples(gamma.grid, gamma.points)
+    assert traced_peak(lambda: verify_od_properties(fresh, p), unit=LARGE_UNIT) < 1.8
     assert "_frenet" not in fresh.__dict__
+
+
+def test_od_osculating_curve_keeps_the_array_it_builds(large_companion):
+    # 2.14 when CurveSamples copied the positions; at n = 20001 the block
+    # temporaries hide the copy
+    donor, _, p = large_companion
+    assert traced_peak(lambda: od_osculating_curve(donor, p), unit=LARGE_UNIT) < 1.5
+
+
+def test_direction_field_writes_one_output_array(large_companion):
+    # 2.0 when u T and v N were whole-array products
+    donor, _, p = large_companion
+    dc = osculating_coefficients(donor, p.phase_c)
+    assert traced_peak(lambda: direction_field(donor, dc), unit=LARGE_UNIT) < 1.5
+
+
+def test_donor_from_direction_builds_its_results_in_place(frames):
+    # 1.38 when each factor was a whole-array temporary
+    _, g = frames
+    donor_from_direction(g)  # caches g.ratio
+    assert traced_peak(lambda: donor_from_direction(g)) < 1.2
 
 
 def test_slant_helix_invariant_builds_its_result_in_place(frames):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frenetdir
+from frenetdir import curves, direction, od
 from frenetdir.curves import (
     CurveSamples,
     arclength_reparametrize,
@@ -20,9 +21,17 @@ from frenetdir.curves import (
     load_csv,
     save_csv,
 )
+from frenetdir.direction import (
+    direction_field,
+    integrate_direction_curve,
+    osculating_coefficients,
+    osculating_direction_curve,
+    principal_direction_curve,
+)
 from frenetdir.errors import DomainError
 from frenetdir.frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation
-from frenetdir.numerics import uniform_grid
+from frenetdir.numerics import VectorSamples, uniform_grid
+from frenetdir.od import ODParameters, od_osculating_curve
 
 
 class TestCatalogEntries:
@@ -135,6 +144,70 @@ class TestPointsCopy:
         kept = pts.copy()
         pts[4] = np.nan
         assert np.array_equal(c.points, kept)
+
+
+def _non_finite_builds():
+    """Builder calls whose points hold a non-finite value, with the module
+    whose _built_curve they call."""
+    f = frenet_apparatus(evaluate_catalog("circular_helix"))
+    wide = uniform_grid(-1e308, 1e308, 9)
+    return {
+        "evaluate_catalog": (curves, lambda: evaluate_catalog(
+            "circular_helix", {"a": 1e300, "scale": 1e300}, uniform_grid(0.0, 1.0, 9))),
+        # an infinite step integrates a unit field to infinity
+        "integrate_direction_curve": (direction, lambda: integrate_direction_curve(
+            VectorSamples(wide, np.tile([1.0, 0.0, 0.0], (9, 1))))),
+        "od_osculating_curve": (od, lambda: od_osculating_curve(
+            f, ODParameters(1.7e308, 1.7e308, 0.3))),
+    }
+
+
+class TestBuiltCurves:
+    """A curve the library builds keeps the array it was built in, with
+    the checks and the read-only points of the copying constructor."""
+
+    def test_built_points_are_read_only_and_c_ordered(self):
+        c = evaluate_catalog("circular_helix")
+        f = frenet_apparatus(c)
+        built = [c, osculating_direction_curve(f, 0.3), principal_direction_curve(f),
+                 integrate_direction_curve(direction_field(f, osculating_coefficients(f, 0.3))),
+                 od_osculating_curve(f, ODParameters(1.0, 1.0, 0.3)),
+                 arclength_reparametrize(c, 101)]
+        for b in built:
+            assert not b.points.flags.writeable
+            assert b.points.flags.c_contiguous and b.points.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                b.points[0, 0] = 1.0
+
+    def test_catalog_curve_keeps_the_evaluated_array(self, monkeypatch):
+        g = uniform_grid(0.0, 1.0, 9)
+        pts = np.stack([g.values, g.values**2, g.values**3], axis=1)
+        monkeypatch.setitem(curves._CATALOG["helix_12_5"], "points", lambda params, s: pts)
+        assert evaluate_catalog("helix_12_5", grid=g).points is pts
+
+    def test_direction_curve_keeps_the_integral(self, monkeypatch):
+        f = frenet_apparatus(evaluate_catalog("circular_helix"))
+        made, cumulative = [], direction._cumulative
+
+        def integral(*args):
+            made.append(cumulative(*args))
+            return made[-1]
+
+        monkeypatch.setattr(direction, "_cumulative", integral)
+        assert principal_direction_curve(f).points is made[-1]
+        assert integrate_direction_curve(VectorSamples(f.grid, f.T)).points is made[-1]
+
+    @pytest.mark.parametrize("builder", ["evaluate_catalog", "integrate_direction_curve",
+                                         "od_osculating_curve"])
+    def test_non_finite_point_raises_as_the_copying_constructor(self, builder, monkeypatch):
+        module, build = _non_finite_builds()[builder]
+        with np.errstate(all="ignore"):
+            with pytest.raises(DomainError, match="non-finite point at sample") as kept:
+                build()
+            monkeypatch.setattr(module, "_built_curve", CurveSamples)
+            with pytest.raises(DomainError) as copied:
+                build()
+        assert str(kept.value) == str(copied.value)
 
 
 class TestCsvRoundTrip:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetdir import numerics
-from frenetdir.classify import ConstancyReport, constancy
+from frenetdir.classify import ZERO_LEVEL, ConstancyReport, constancy
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
     MIN_SAMPLES,
@@ -428,13 +428,71 @@ class TestCumulativeIntegral:
 
         assert err(201) / err(401) >= 12.0
 
+    @pytest.mark.parametrize("layout", ["scalar", "rows", "components"])
+    @pytest.mark.parametrize("n", [MIN_SAMPLES, 41, 20001])
+    def test_output_may_be_the_input(self, n, layout):
+        # every panel is complete before the output is written, so
+        # integrating in place gives the bits of a fresh output
+        g = uniform_grid(-1.0, 3.0, n)
+        s = g.values
+        data = np.stack([40 * np.sin(3 * s), s**5 - 2 * s, np.exp(s)], axis=1)
+        initial = np.array([1.5, -2.0, 1e3])
+        if layout == "scalar":
+            data, initial = data[:, 0].copy(), 1.5
+        elif layout == "components":
+            data = np.asfortranarray(data)
+        expected = _cumulative(data, g.h, initial)
+        out = _cumulative(data, g.h, initial, out=data)
+        assert out is data
+        assert np.array_equal(out, expected)
+
     def test_vector_initial_broadcast(self):
         g = uniform_grid(0.0, 1.0, 11)
         out = _cumulative(np.ones((11, 3)), g.h, np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out[-1], [2.0, 3.0, 4.0], atol=1e-12)
 
 
+def _constancy_two_medians(values, rel_tol):
+    """Reference: the zero level from the median of |values|, the
+    relative variation from the median of values, always both."""
+    lo, hi = float(values.min()), float(values.max())
+    if np.median(np.abs(values)) < ZERO_LEVEL:
+        return ConstancyReport(float(values.mean()), lo, hi, (hi - lo) / ZERO_LEVEL,
+                               is_constant=True, degenerate_zero=True)
+    rel = (hi - lo) / max(abs(float(np.median(values))), 1e-12)
+    return ConstancyReport(float(values.mean()), lo, hi, rel, is_constant=bool(rel < rel_tol),
+                           degenerate_zero=False)
+
+
+def _bits(report):
+    return [x.hex() if isinstance(x, float) else x for x in vars(report).values()]
+
+
 class TestConstancy:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 2001, 2002])
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_one_signed_values_take_one_median(self, sign, n, scale, monkeypatch):
+        # |median| is the median of |values| bit for bit when no value
+        # changes sign; -0.0 keeps the values one-signed either way
+        rng = np.random.default_rng(n)
+        values = sign * scale * rng.uniform(0.5, 1.5, n)
+        values[n // 2] = -0.0
+        expected = _constancy_two_medians(values, 1e-3)
+        calls = []
+        median = np.median
+        monkeypatch.setattr(np, "median", lambda *a, **k: calls.append(1) or median(*a, **k))
+        assert _bits(constancy(values, 1e-3)) == _bits(expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 2001])
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_mixed_signs_keep_both_medians(self, n, scale):
+        rng = np.random.default_rng(n)
+        values = scale * rng.uniform(-0.5, 1.5, n)
+        values[0], values[-1] = -scale, scale
+        assert _bits(constancy(values, 1e-3)) == _bits(_constancy_two_medians(values, 1e-3))
+
     def test_constant_array(self):
         r = constancy(np.full(50, 2.4), rel_tol=1e-3)
         assert isinstance(r, ConstancyReport)
