@@ -69,26 +69,18 @@ def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
     """The constancy verdict over a plain array (callers pre-select the
     samples).  A median magnitude below ZERO_LEVEL is the identically-zero
     case (degenerate_zero); the median, not the max, because values on a
-    roundoff floor have extreme outliers that scale with the resolution.
-
-    On one-signed values the median magnitude is |median|, bit for bit
-    (negation is exact and keeps the order, reversed), so one median
-    serves both the zero level and rel_variation; mixed signs take two."""
+    roundoff floor have extreme outliers that scale with the resolution."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("constancy statistics need at least one sample")
     mean = float(values.mean())
     lo = float(values.min())
     hi = float(values.max())
-    one_signed = lo >= 0.0 or hi <= 0.0
-    # the median of |values| partitions its own copy in place
-    magnitude = (abs(float(np.median(values))) if one_signed
-                 else np.median(np.abs(values), overwrite_input=True))
-    if magnitude < ZERO_LEVEL:
+    # the median partitions its own copy of |values| in place
+    if np.median(np.abs(values), overwrite_input=True) < ZERO_LEVEL:
         return ConstancyReport(mean, lo, hi, (hi - lo) / ZERO_LEVEL,
                                is_constant=True, degenerate_zero=True)
-    level = magnitude if one_signed else abs(float(np.median(values)))
-    rel = (hi - lo) / max(level, 1e-12)
+    rel = (hi - lo) / max(abs(float(np.median(values))), 1e-12)
     return ConstancyReport(mean, lo, hi, rel, is_constant=bool(rel < rel_tol),
                            degenerate_zero=False)
 

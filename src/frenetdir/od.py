@@ -154,8 +154,8 @@ def verify_od_properties(
     are kept: speed, torsion/curvature and the rows each statistic
     judges.  On a fresh curve the scratch goes after the pass, the arc
     length overwrites the speed, and each line fit holds only what it
-    reads: the ratio line its rows of s - s[0] and torsion/curvature,
-    gathered once, and its own centred pair, four (n,) arrays at most.
+    reads: the ratio line its rows of s - s[0] and torsion/curvature
+    and its own centred pair, four (n,) arrays at most.
     The report is bit-identical either way, and to rectifying_test and
     unit_speed_deviation on frenet_apparatus(gamma).
     """
@@ -200,16 +200,11 @@ def verify_od_properties(
 
     if not np.any(fitted):
         raise _no_samples("verify_od_properties")
-    # the line's abscissa s - s[0] and ordinate ratio on its rows, each
-    # gathered once; the full arrays go before the fit, which makes two
-    # more of the same length
+    # the full s and ratio go before the fit, which makes two more
+    # arrays of the line's length
     rows = _rows(fitted)
-    x, y = s[rows], ratio[rows]
-    if isinstance(rows, slice):
-        x = x - s[0]  # x is a view of s
-    else:
-        x -= s[0]
-    del s, ratio, rows, fitted
+    x, y = s[rows] - s[0], ratio[rows]
+    del s, ratio
     fit = _fit_line(x, y, "verify_od_properties")
     slope_error = abs(fit.slope - 1.0 / p.a)
     intercept_error = abs(fit.intercept - p.b / p.a)

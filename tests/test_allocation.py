@@ -30,14 +30,14 @@ of a second copy.  verify_od_properties on a curve without a stored frame
 went 6.08 -> 2.77 units at n = 200001 (units of that size) when it began
 to read the frame block by block and store none, and 2.77 -> 1.46 when
 its block scratch went before the arc length, which now overwrites the
-speed, and its ratio-line fit began to gather its rows once and drop the
-full arrays first; slant_helix_invariant went 1.67 -> 1.00
-(slant_helix_test 1.67 -> 1.38) when it was built in place, and
-cumulative_integral on (n, 3) data 3.0 -> 2.0 when its panels were
-written term by term.  At n = 200001, od_osculating_curve went 2.14 ->
-1.14 when a curve the library builds began to keep its points instead
-of a copy, and direction_field 2.00 -> 1.08 when it was written block by
-block; donor_from_direction went 1.38 -> 1.04 when it was built in place.
+speed, and its ratio-line fit began to drop the full arrays first;
+slant_helix_invariant went 1.67 -> 1.00 (slant_helix_test 1.67 ->
+1.38) when it was built in place, and cumulative_integral on (n, 3)
+data 3.0 -> 2.0 when its panels were written term by term.  At
+n = 200001, od_osculating_curve went 2.14 -> 1.14 when a curve the
+library builds began to keep its points instead of a copy, and
+direction_field 2.00 -> 1.08 when it was written block by block;
+donor_from_direction went 1.38 -> 1.04 when it was built in place.
 """
 
 import tracemalloc
