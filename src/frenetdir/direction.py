@@ -225,7 +225,13 @@ class RecoveredCurvatures:
 def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     """Recover the donor's curvature and torsion from a direction curve's
     own Frenet data: the donor torsion is the curvature/torsion norm, and
-    the donor curvature is the arc-length turning rate of their ratio."""
+    the donor curvature is the arc-length turning rate of their ratio.
+
+    g fixes only the product sgn(tau) sgn(cos theta): mirroring the
+    donor, or shifting the phase by pi, mirrors g, and doing both moves
+    g rigidly.  So the torsion comes back as |tau|, and the curvature as
+    the turning rate's magnitude, nonnegative as everywhere in the
+    library."""
     # frenet_apparatus never marks a row valid below the floor, but a
     # hand-built FrenetData can
     bad = ~g.frenet_valid | (g.kappa < KAPPA_FLOOR)
@@ -233,7 +239,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
         raise DomainError(
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
-    # in place, by the operations of (kappa**2 / (kappa**2 + tau**2)) * d
+    # in place, by the operations of |(kappa**2 / (kappa**2 + tau**2)) * d|
     # and sqrt(kappa**2 + tau**2) in their order, d the ratio's derivative
     d = g._d_ds(g.ratio)
     sq = np.square(g.kappa)
@@ -242,6 +248,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     np.square(g.kappa, out=kappa)
     kappa /= sq
     kappa *= d
+    np.abs(kappa, out=kappa)
     return RecoveredCurvatures(
         kappa=ScalarSamples(g.grid, kappa),
         tau=ScalarSamples(g.grid, np.sqrt(sq, out=sq)),

@@ -91,10 +91,9 @@ class FrenetData:
         return out
 
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
-        """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)
-        or vectors (n, 3)."""
+        """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)."""
         out = _derivative(values, 1, self.grid.h)
-        out /= self.speed if values.ndim == 1 else self.speed[:, None]
+        out /= self.speed
         return out
 
     def valid_interior(self, margin: int = BOUNDARY_MARGIN) -> np.ndarray:
@@ -160,7 +159,8 @@ def frenet_apparatus(c: CurveSamples) -> FrenetData:
 
 def _frenet(c: CurveSamples, rows: slice, scratch: np.ndarray, T: np.ndarray, N: np.ndarray,
             B: np.ndarray, kappa: np.ndarray, tau: np.ndarray, speed: np.ndarray) -> np.ndarray:
-    """The frame of c on one row block, the kernel of frenet_apparatus.
+    """The frame of c on one row block: the kernel of frenet_apparatus,
+    and of od.verify_od_properties, which stores no frame.
 
     The block's three derivatives and d1 x d2 go into scratch, a
     (4, 3, >= rows) array; T, N and B are written into (rows, 3) arrays
@@ -194,53 +194,6 @@ def _frenet(c: CurveSamples, rows: slice, scratch: np.ndarray, T: np.ndarray, N:
         N[~valid] = np.nan
         tau[~valid] = np.nan
     return valid
-
-
-def _frame_reader(c: CurveSamples):
-    """(read, scalars) for a caller that reads each row of c's frame once,
-    in row blocks, and stores no frame on c.
-
-    read(rows) gives (T, N, B, kappa, tau, frenet_valid, speed, ratio) on
-    one block of at most numerics._BLOCK_ROWS rows, ratio being
-    FrenetData.ratio.  Once every block has been read, scalars() gives the
-    (n,) arc length and ratio, FrenetData.s and FrenetData.ratio.  If c has
-    a stored frame (frenet_apparatus), these are its rows and arrays.
-    Otherwise read computes the block with frenet_apparatus's kernel into
-    scratch that its next call overwrites, and writes the block's speed
-    and ratio into two (n,) arrays.  scalars() then frees the scratch,
-    integrates the speed into its own array, and lets go of both arrays,
-    so the reader holds nothing once the caller drops them; read cannot be
-    called after it.  Either way every value is bit-identical to the
-    stored frame's.
-    """
-    f = c.__dict__.get("_frenet")
-    if f is not None:
-        return (lambda r: (f.T[r], f.N[r], f.B[r], f.kappa[r], f.tau[r], f.frenet_valid[r],
-                           f.speed[r], f.ratio[r]),
-                lambda: (f.s, f.ratio))
-    n = c.grid.n
-    size = _blocks(slice(0, n))[0].stop
-    scratch = np.empty((4, 3, size))
-    frame = np.empty((3, 3, size))
-    kappa, tau = np.empty((2, size))
-    speed, ratio = np.empty(n), np.empty(n)
-
-    def read(rows):
-        k = rows.stop - rows.start
-        T, N, B = (a[:, :k].T for a in frame)
-        valid = _frenet(c, rows, scratch, T, N, B, kappa[:k], tau[:k], speed[rows])
-        ratio[rows] = _ratio(kappa[:k], tau[:k], valid)
-        return T, N, B, kappa[:k], tau[:k], valid, speed[rows], ratio[rows]
-
-    def scalars():
-        nonlocal scratch, frame, kappa, tau, speed, ratio
-        del scratch, frame, kappa, tau
-        # the arc length overwrites the speed it integrates
-        out = _cumulative(speed, c.grid.h, c.grid.s_min, out=speed), ratio
-        del speed, ratio
-        return out
-
-    return read, scalars
 
 
 def unit_speed_deviation(f: FrenetData) -> float:

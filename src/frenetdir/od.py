@@ -39,11 +39,12 @@ from .classify import (
 from .curves import CurveSamples, _built_curve
 from .direction import _require_valid, osculating_coefficients
 from .errors import DomainError
-from .frenet import FrenetData, _frame_reader
+from .frenet import FrenetData, _frenet, _ratio
 from .numerics import (
     BOUNDARY_MARGIN,
     VectorSamples,
     _blocks,
+    _cumulative,
     _masked_maxima,
     _require_tol,
     _rows,
@@ -146,22 +147,20 @@ def verify_od_properties(
     Generic: any sampled curve on any regular parameter can be checked;
     the ratio line is fitted against the curve's own arc length.
 
-    The check stores no frame on gamma.  It reads the frame once, in row
-    blocks (frenet._frame_reader): the rows of a frame that
-    frenet_apparatus already stored on gamma, or else rows computed by
-    its kernel into block scratch.  Every worst-row statistic reduces in
-    that one pass, and besides the statistics only per-sample scalars
-    are kept: speed, torsion/curvature and the rows each statistic
-    judges.  On a fresh curve the scratch goes after the pass, the arc
-    length overwrites the speed, and each line fit holds only what it
-    reads: the ratio line its rows of s - s[0] and torsion/curvature
-    and its own centred pair, four (n,) arrays at most.
-    The report is bit-identical either way, and to rectifying_test and
+    The check stores no frame on gamma, and reads none that
+    frenet_apparatus stored there: it computes the frame block by block
+    with frenet_apparatus's kernel (frenet._frenet) into block scratch,
+    and reduces every worst-row statistic in that one pass.  Besides the
+    statistics it keeps only per-sample scalars: speed,
+    torsion/curvature and the rows each statistic judges.  After the
+    pass the scratch goes, the arc length overwrites the speed, and each
+    line fit holds only what it reads: the ratio line its rows of
+    s - s[0] and torsion/curvature and its own centred pair, four (n,)
+    arrays at most.  The report is bit-identical to rectifying_test and
     unit_speed_deviation on frenet_apparatus(gamma).
     """
     _require_tol("tol", tol)
     grid = gamma.grid
-    read, scalars = _frame_reader(gamma)
     # the rows each statistic judges: inner those of unit_speed_deviation,
     # usable those of rectifying_test (valid_interior()), fitted those of
     # the ratio line and the cross ratio; the pass adds the frame
@@ -171,26 +170,40 @@ def verify_od_properties(
     usable = inner.copy()
     fitted = np.zeros(grid.n, dtype=bool)
     fitted[grid.interior(2 * BOUNDARY_MARGIN)] = True
+    # one block's derivatives, frame, curvature and torsion, overwritten
+    # by the next block; the speed and ratio are kept whole
+    size = _blocks(slice(0, grid.n))[0].stop
+    scratch = np.empty((4, 3, size))
+    frame = np.empty((3, 3, size))
+    curvatures = np.empty((2, size))
+    speed, ratio = np.empty(grid.n), np.empty(grid.n)
 
     def stats(rows):
-        T, N, B, kappa, tau, valid, speed, ratio = read(rows)
+        k = rows.stop - rows.start
+        T, N, B = (a[:, :k].T for a in frame)
+        kappa, tau = curvatures[:, :k]
+        valid = _frenet(gamma, rows, scratch, T, N, B, kappa, tau, speed[rows])
+        ratio[rows] = _ratio(kappa, tau, valid)
         on_frame = usable[rows]
         on_frame &= valid
         on_line = fitted[rows]
         on_line &= on_frame
         on_line &= _resolved_ratio(kappa, tau)
         # the axis is the modified Darboux vector
-        pts, ax = gamma.points[rows], _darboux(ratio, T, B)
+        pts, ax = gamma.points[rows], _darboux(ratio[rows], T, B)
         reach = norm(pts)
         sines = norm(cross(pts, ax)) / np.maximum(reach * norm(ax), 1e-12)
         # a row outside a statistic's rows is -inf, which no max reads
         return [np.where(on_frame, np.abs(rowdot(pts, N)), -np.inf),
                 np.where(on_frame, reach, -np.inf),
                 np.where(on_line, sines, -np.inf),
-                np.where(inner[rows], np.abs(speed - 1.0), -np.inf)]
+                np.where(inner[rows], np.abs(speed[rows] - 1.0), -np.inf)]
 
     normal, scale, cross_ratio, speed_deviation = _masked_maxima(slice(0, grid.n), stats)
-    s, ratio = scalars()
+    del scratch, frame, curvatures
+    # the arc length overwrites the speed it integrates
+    s = _cumulative(speed, grid.h, grid.s_min, out=speed)
+    del speed
 
     if not np.any(usable):
         raise _no_samples("rectifying_test")

@@ -19,8 +19,11 @@ multi-run mask 1.0; od_osculating_curve 4.2).  Peaks measured with
 numpy 2.4, before and after the statistics went through _masked_maxima:
 frenet_derivative_check 5.67 -> 2.78, plane_test 0.38 -> 0.18,
 unit_speed_deviation 0.67 -> 0.28, mannheim_check 0.71 -> 0.42 (2.4
-before it reduced with where=), verify_od_properties with its frame
-kept 1.70 -> 1.61 (5.4 before that).  classify on a frame whose arc
+before it reduced with where=), verify_od_properties on a curve with a
+stored frame 1.70 -> 1.61 (5.4 before that), while it still read such a
+frame; it now always computes its own and peaks at 5.33 of these units
+at n = 20001, about 3.1 of them its fixed 8192-row block scratch, so it
+is bounded at n = 200001 only.  classify on a frame whose arc
 length and ratio are already cached went 1.05 -> 0.72, but on a fresh
 frame, as tested here, it peaks at 1.71 either way (3.4 before the
 masked statistics took views), so its bound stays.  general_helix_test
@@ -113,15 +116,13 @@ def frames():
 
 @pytest.fixture(scope="module")
 def companion():
-    # the companion's ratio nears its pole twice near the start, so the
-    # mask of its checks has three runs; verify_od_properties stores no
-    # frame, so the stored frame it reads here is built first
+    # the osculating-plane companion of helix_12_5, built once before
+    # tracing; verify_od_properties is bounded on its large copy below,
+    # where its fixed block scratch is a small part of a unit
     p = ODParameters(1.0, 1.0, 0.3)
     donor = frenet_apparatus(evaluate_catalog("helix_12_5", grid=uniform_grid(0.0, 1000.0, N)))
-    gamma = od_osculating_curve(donor, p)
-    frenet_apparatus(gamma)
-    verify_od_properties(gamma, p)
-    return donor, gamma, p
+    od_osculating_curve(donor, p)
+    return donor, p
 
 
 def test_verify_frame_copies_no_frame(frames):
@@ -191,11 +192,6 @@ def test_compare_predicted_gathers_no_rows_of_a_multi_run_mask(frames):
     assert traced_peak(lambda: compare_predicted(g, pb, dc, cos_floor=0.05)) < 0.75
 
 
-def test_verify_od_properties_builds_no_axis_array(companion):
-    _, gamma, p = companion
-    assert traced_peak(lambda: verify_od_properties(gamma, p)) < 1.65
-
-
 @pytest.fixture(scope="module")
 def large_companion():
     # n = 200001, the large benchmark size: the companion of the fixture
@@ -257,5 +253,5 @@ def test_cumulative_integral_writes_its_panels_term_by_term(frames):
 
 
 def test_od_osculating_curve_writes_one_position_array(companion):
-    donor, _, p = companion
+    donor, p = companion
     assert traced_peak(lambda: od_osculating_curve(donor, p)) < 4.0

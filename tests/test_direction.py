@@ -423,6 +423,24 @@ class TestDonorRecovery:
         assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
         assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
 
+    @pytest.mark.parametrize("mirror, shift", [(1.0, 0.0), (-1.0, 0.0), (1.0, np.pi), (-1.0, np.pi)],
+                             ids=["plain", "mirrored", "shifted", "mirrored-shifted"])
+    def test_every_sign_case_recovers_kappa_and_abs_tau(self, mirror, shift):
+        # the window of test_round_trip_helix; z -> -z flips the donor's
+        # torsion, and a phase shifted by pi makes cos(theta) < 0 on the
+        # whole window.  g's torsion carries only sgn(tau) sgn(cos theta),
+        # and every case recovers kappa = 0.5 and |tau| = 0.5
+        grid = uniform_grid(0.0, 1.47, 201)
+        pts = evaluate_catalog("circular_helix", grid=grid).points * [1.0, 1.0, mirror]
+        f = frenet_apparatus(CurveSamples(grid, pts))
+        g = frenet_apparatus(osculating_direction_curve(f, np.pi / 4 + shift))
+        rec = donor_from_direction(g)
+        inner = grid.interior(6)
+        assert np.all(np.sign(g.tau[inner]) == mirror * np.cos(shift))
+        assert np.all(rec.kappa.data >= 0.0)
+        assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
+
     def test_round_trip_helix_12_5(self):
         grid = uniform_grid(0.0, 10.35, 201)
         _, _, g = constructed("helix_12_5", grid=grid)

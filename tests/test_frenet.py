@@ -342,16 +342,6 @@ class TestOneFramePerCurve:
         assert calls == {1: 1, 2: 1, 3: 1}
 
 
-class TestArcLengthDerivative:
-    def test_vector_rows_match_scalar_columns_bit_for_bit(self):
-        # a warped parameter, so the 1/speed factor is not 1
-        pts = warped_helix(*WARPED_HELICES[0])[0]
-        n = len(pts)
-        f = frenet_apparatus(CurveSamples(Grid(0.0, n - 1.0, n), pts))
-        columns = np.column_stack([f._d_ds(f.T[:, k]) for k in range(3)])
-        assert np.array_equal(f._d_ds(f.T), columns)
-
-
 class TestDerivativeIdentities:
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5"])
     def test_catalog_residuals_small(self, name):

@@ -190,3 +190,51 @@ def test_masked_reductions_are_found():
         "    return np.minimum.reduce(x, where=m) + np.add.reduce(x, where=m)\n"
     )
     assert masked_reductions(source) == [(2, "f"), (3, "f"), (5, "g")]
+
+
+def frame_kernel_uses(source, module):
+    """(line, top-level function) of every use of frenet._frenet in a
+    package module: by its name in frenet.py or where it is imported from
+    .frenet, or as frenet._frenet.  Another module's own _frenet (verify.py
+    has one) is not it."""
+    tree = ast.parse(source)
+    names = {"_frenet"} if module == "frenet" else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "frenet":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "_frenet"}
+    hits = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+                hits.append((node.lineno, getattr(top, "name", None)))
+            elif (isinstance(node, ast.Attribute) and node.attr == "_frenet"
+                  and isinstance(node.value, ast.Name) and node.value.id == "frenet"):
+                hits.append((node.lineno, getattr(top, "name", None)))
+    return sorted(hits)
+
+
+def test_the_frame_kernel_has_two_callers():
+    # one frame path: frenet_apparatus builds the frame it stores, and
+    # verify_od_properties computes one block by block and stores none
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} in {function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, function in frame_kernel_uses(path.read_text(encoding="utf-8"), path.stem)
+        if (path.name, function) not in {("frenet.py", "frenet_apparatus"),
+                                         ("od.py", "verify_od_properties")}
+    ]
+    assert hits == []
+
+
+def test_frame_kernel_uses_are_found():
+    source = (
+        "from .frenet import _frenet as kernel\n"
+        "def f(c):\n"
+        "    def block(rows):\n"
+        "        return kernel(c, rows)\n"
+        "    return block\n"
+        "def g(c):\n"
+        "    return frenet._frenet(c) + _frenet(c)\n"
+    )
+    assert frame_kernel_uses(source, "od") == [(4, "f"), (7, "g")]
+    assert frame_kernel_uses("def h(c):\n    return _frenet(c)\n", "frenet") == [(2, "h")]
