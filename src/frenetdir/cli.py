@@ -58,7 +58,7 @@ from .direction import (
 )
 from .errors import DomainError, NumericalError
 from .frenet import UNIT_SPEED_TOL, frenet_apparatus, unit_speed_deviation, verify_frame
-from .numerics import uniform_grid
+from .numerics import MIN_SAMPLES, uniform_grid
 from .od import ODParameters, od_osculating_curve, verify_od_properties
 
 # the subcommands that read a curve, with their help lines
@@ -86,7 +86,7 @@ _OPTIONS = {
     "params": _Option(str, "", "catalog parameter overrides k=v,..."),
     "s_min": _Option(float, None, "grid start (default: catalog domain)"),
     "s_max": _Option(float, None, "grid end (default: catalog domain)"),
-    "n": _Option(int, None, f"sample count, odd (default {DEFAULT_N})"),
+    "n": _Option(int, None, f"sample count, at least {MIN_SAMPLES} (default {DEFAULT_N})"),
     "output": _Option(str, None, "write sampled data here"),
     "format": _Option(str, "csv", "output file format", ("frenet", "direct", "od"), ("csv", "json")),
     "tol_rel": _Option(float, 1e-3, "constancy tolerance", ("direct", "classify")),

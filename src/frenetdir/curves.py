@@ -17,16 +17,7 @@ from math import cos, isfinite, pi, sqrt
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (
-    Grid,
-    MIN_SAMPLES,
-    ScalarSamples,
-    VectorSamples,
-    cumulative_integral,
-    derivative,
-    norm,
-    uniform_grid,
-)
+from .numerics import Grid, MIN_SAMPLES, _cumulative, _derivative, norm, uniform_grid
 
 # at or below this numerical speed a curve counts as degenerate
 SPEED_FLOOR = 1e-9
@@ -227,9 +218,9 @@ def load_csv(path) -> CurveSamples:
     arc length or not; a non-uniform s column, or none, gives the sample
     index 0..n-1 as the parameter.  Fields may be quoted and are read as
     float() reads them (`1_000` and surrounding spaces included); blank
-    lines and a leading UTF-8 byte order mark are skipped.  A malformed
-    file raises DomainError naming its first faulty line, blank lines
-    counted.
+    lines and a leading UTF-8 byte order mark are skipped.  Any count of
+    at least MIN_SAMPLES rows makes a grid.  A malformed file raises
+    DomainError naming its first faulty line, blank lines counted.
     """
     with open(path, "rb") as fh:
         # not utf-8-sig, which counts an undecodable byte from after the mark
@@ -280,8 +271,6 @@ def load_csv(path) -> CurveSamples:
     n = len(rows)
     if n < MIN_SAMPLES:
         raise DomainError(f"{path}: fewer than {MIN_SAMPLES} samples (got {n})")
-    if n % 2 == 0:
-        raise DomainError(f"{path}: sample count must be odd for the quadrature grid, got {n}")
     if has_s:
         s = data[:, 0]
         if np.any(np.diff(s) <= 0):
@@ -337,19 +326,21 @@ def arclength_reparametrize(c: CurveSamples, n_out: int) -> CurveSamples:
     The arc-length function is accumulated from the numerical speed and
     inverted with a monotone cubic interpolant; points are then evaluated
     through a C^2 spline, whose piecewise-constant third derivative makes
-    torsion low-order accurate.  Nothing in the library calls it; scipy is
-    imported here, on first use, and nowhere else.
+    torsion low-order accurate.  Nothing in the library calls it.  scipy,
+    which the package does not require, is imported here, on first use,
+    and nowhere else.
     """
     from scipy.interpolate import CubicSpline, PchipInterpolator
 
-    speed = norm(derivative(VectorSamples(c.grid, c.points), 1).data)
+    h = c.grid.h
+    speed = norm(_derivative(c.points, 1, h))
     if np.min(speed) <= SPEED_FLOOR:
         i = int(np.argmin(speed))
         raise DomainError(
             f"degenerate curve: speed {speed[i]:.3g} at parameter {c.grid.values[i]:g} "
             f"is below the {SPEED_FLOOR:g} floor"
         )
-    arc = cumulative_integral(ScalarSamples(c.grid, speed)).data
+    arc = _cumulative(speed, h, 0.0)
     if np.any(np.diff(arc) <= 0):
         raise DomainError("degenerate curve: arc length is not strictly increasing")
     total = float(arc[-1])

@@ -216,6 +216,20 @@ def compare_predicted(
     )
 
 
+def _require_no_reversal(g: FrenetData) -> None:
+    """Raise DomainError on the intervals where g's normal reverses
+    between adjacent rows.  The row mask is built only to name them, and
+    every temporary is freed before the caller builds its results."""
+    flips = rowdot(g.N[:-1], g.N[1:]) < 0.0
+    if flips.any():
+        bad = np.zeros(g.grid.n, dtype=bool)
+        bad[:-1] = flips
+        bad[1:] |= flips
+        raise DomainError(
+            f"donor_from_direction: normal reverses on {_runs_to_intervals(g.grid, bad)}"
+        )
+
+
 @dataclass(frozen=True)
 class RecoveredCurvatures:
     kappa: ScalarSamples
@@ -231,7 +245,10 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     donor, or shifting the phase by pi, mirrors g, and doing both moves
     g rigidly.  So the torsion comes back as |tau|, and the curvature as
     the turning rate's magnitude, nonnegative as everywhere in the
-    library."""
+    library.  Where cos theta or the donor's torsion changes sign, g's
+    normal reverses between two samples, and the turning rate read
+    across them is not the donor's curvature: that raises DomainError
+    naming the interval."""
     # frenet_apparatus never marks a row valid below the floor, but a
     # hand-built FrenetData can
     bad = ~g.frenet_valid | (g.kappa < KAPPA_FLOOR)
@@ -239,6 +256,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
         raise DomainError(
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
+    _require_no_reversal(g)
     # in place, by the operations of |(kappa**2 / (kappa**2 + tau**2)) * d|
     # and sqrt(kappa**2 + tau**2) in their order, d the ratio's derivative
     d = g._d_ds(g.ratio)

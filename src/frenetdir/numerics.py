@@ -59,9 +59,6 @@ from math import factorial
 
 import numpy as np
 
-# Stencils need this much room; Simpson pairing wants an odd count.
-MIN_SAMPLES = 9
-
 # First/last samples considered boundary-contaminated by verification
 # statistics (one-sided stencils live there).
 BOUNDARY_MARGIN = 3
@@ -73,7 +70,7 @@ _BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sample grid on [s_min, s_max] with an odd number of points."""
+    """Uniform sample grid on [s_min, s_max] with at least MIN_SAMPLES points."""
 
     s_min: float
     s_max: float
@@ -82,8 +79,6 @@ class Grid:
     def __post_init__(self):
         if self.n < MIN_SAMPLES:
             raise ValueError(f"grid needs at least {MIN_SAMPLES} samples, got {self.n}")
-        if self.n % 2 == 0:
-            raise ValueError(f"grid sample count must be odd, got {self.n}")
         if not self.s_min < self.s_max:
             raise ValueError(f"empty grid interval [{self.s_min}, {self.s_max}]")
 
@@ -118,7 +113,7 @@ def _require_same_grid(a: Grid, b: Grid) -> None:
 
 
 def uniform_grid(s_min: float, s_max: float, n: int) -> Grid:
-    """Build a uniform grid; n must be odd and at least MIN_SAMPLES."""
+    """Build a uniform grid; n must be at least MIN_SAMPLES."""
     return Grid(float(s_min), float(s_max), int(n))
 
 
@@ -255,6 +250,9 @@ _HALF = {1: 2, 2: 2, 3: 3}
 # for order 2 and 21.9 for order 3.
 _EDGE_WINDOW = {1: 6, 2: 7, 3: 9}
 _EDGE_DEGREE = {1: 5, 2: 6, 3: 7}
+
+# a grid must hold the widest one-sided window
+MIN_SAMPLES = max(_EDGE_WINDOW.values())
 
 
 @cache

@@ -40,9 +40,8 @@ DEFECTS = (
 
 @st.composite
 def csv_files(draw):
-    # mostly odd counts, which the quadrature grid needs; a few below the
-    # nine-sample minimum
-    n = 2 * draw(st.integers(min_value=3, max_value=30)) + draw(st.sampled_from((1, 1, 1, 0)))
+    # odd and even counts alike; a few below the nine-sample minimum
+    n = draw(st.integers(min_value=6, max_value=61))
     t = np.linspace(0.0, draw(st.floats(0.5, 12.0)), n)
     shape = draw(st.sampled_from(("helix", "line", "noise")))
     if shape == "helix":

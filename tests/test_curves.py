@@ -212,13 +212,15 @@ class TestBuiltCurves:
 
 class TestCsvRoundTrip:
     def test_round_trip_bit_identical(self, tmp_path):
-        c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 4 * np.pi, 201))
-        p = tmp_path / "helix.csv"
-        save_csv(c, p)
-        back = load_csv(p)
-        assert back.grid == c.grid
-        assert np.array_equal(back.points, c.points)
-        assert unit_speed_deviation(frenet_apparatus(back)) <= UNIT_SPEED_TOL
+        # an even row count loads onto a grid of that many samples
+        for grid in (uniform_grid(0.0, 4 * np.pi, 201), uniform_grid(0.0, 1.0, 10)):
+            c = evaluate_catalog("circular_helix", grid=grid)
+            p = tmp_path / f"helix_{grid.n}.csv"
+            save_csv(c, p)
+            back = load_csv(p)
+            assert back.grid == c.grid
+            assert np.array_equal(back.points, c.points)
+            assert unit_speed_deviation(frenet_apparatus(back)) <= UNIT_SPEED_TOL
 
     def test_file_line_count(self, tmp_path):
         c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.0, 9))
@@ -232,12 +234,6 @@ class TestCsvRoundTrip:
         p = tmp_path / "short.csv"
         p.write_text("s,x,y,z\n" + "".join(f"{i},1,2,3\n" for i in range(4)), encoding="utf-8")
         with pytest.raises(DomainError, match="fewer than 9"):
-            load_csv(p)
-
-    def test_even_row_count_rejected(self, tmp_path):
-        p = tmp_path / "even.csv"
-        p.write_text("s,x,y,z\n" + "".join(f"{i},1,2,3\n" for i in range(10)), encoding="utf-8")
-        with pytest.raises(DomainError, match="odd"):
             load_csv(p)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -382,10 +378,12 @@ class TestArclengthReparametrize:
     def test_straight_segment(self):
         g = uniform_grid(0.0, 1.0, 51)
         pts = np.stack([2 * g.values, np.zeros(51), np.zeros(51)], axis=1)
-        r = arclength_reparametrize(CurveSamples(g, pts), 51)
-        assert r.grid.s_min == 0.0
-        assert r.grid.s_max == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(r.points[:, 0], r.grid.values, atol=1e-10)
+        for n_out in (51, 100):
+            r = arclength_reparametrize(CurveSamples(g, pts), n_out)
+            assert r.grid.n == n_out
+            assert r.grid.s_min == 0.0
+            assert r.grid.s_max == pytest.approx(2.0, abs=1e-12)
+            assert np.allclose(r.points[:, 0], r.grid.values, atol=1e-10)
 
     def test_circle_length(self):
         g = uniform_grid(0.0, 2 * np.pi, 2001)
@@ -416,11 +414,6 @@ class TestArclengthReparametrize:
         pts = np.stack([g.values**3, np.zeros(101), np.zeros(101)], axis=1)
         with pytest.raises(DomainError, match="floor"):
             arclength_reparametrize(CurveSamples(g, pts), 101)
-
-    def test_even_n_out_rejected(self):
-        c = evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.0, 51))
-        with pytest.raises(ValueError, match="odd"):
-            arclength_reparametrize(c, 100)
 
 
 def test_numerical_speed_of_catalog_curves_near_one():

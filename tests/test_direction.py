@@ -456,6 +456,16 @@ class TestDonorRecovery:
         with pytest.raises(DomainError, match=r"curvature below floor on \["):
             donor_from_direction(g)
 
+    def test_sign_change_of_cos_theta_rejected_with_interval(self):
+        # theta = s/2 + pi/4 reaches pi/2 at s = pi/2, between rows 157
+        # and 158: g's curvature stays above the floor on both, but its
+        # normal reverses, and the turning rate there is not the donor's
+        grid = uniform_grid(0.0, 4.0, 401)
+        _, _, g = constructed("circular_helix", grid=grid)
+        assert np.all(g.kappa >= KAPPA_FLOOR)
+        with pytest.raises(DomainError, match=r"normal reverses on \[1\.57, 1\.58\]$"):
+            donor_from_direction(g)
+
     def test_hand_built_frame_below_floor_rejected(self):
         # frenet_apparatus never marks such a row valid; a hand-built
         # FrenetData can, and the floor check must still catch it

@@ -116,12 +116,19 @@ class TestAgainstClosedForms:
 
     @pytest.mark.parametrize("name", ["circular_helix", "helix_12_5"])
     def test_curvatures_match_oracle_benign(self, name):
-        # constant-curvature entries: agreement at full interior margin
-        c, f = catalog_frenet(name)
-        want = FRAME_ORACLES[name](c.grid.values)
-        inner = c.grid.interior()
-        assert np.max(np.abs(f.kappa[inner] - want["kappa"][inner]) / want["kappa"][inner]) < 1e-6
-        assert np.max(np.abs(f.tau[inner] - want["tau"][inner]) / np.abs(want["tau"][inner])) < 1e-6
+        # constant-curvature entries: agreement at full interior margin, at
+        # the default odd count and at the even count beside it
+        errors = {}
+        for n in (2001, 2000):
+            c, f = catalog_frenet(name, n)
+            want = FRAME_ORACLES[name](c.grid.values)
+            inner = c.grid.interior()
+            errors[n] = np.array([
+                np.max(np.abs(f.kappa[inner] - want["kappa"][inner]) / want["kappa"][inner]),
+                np.max(np.abs(f.tau[inner] - want["tau"][inner]) / np.abs(want["tau"][inner])),
+            ])
+            assert np.all(errors[n] < 1e-6), n
+        assert np.all(errors[2000] < 2 * errors[2001])
 
     @pytest.mark.parametrize("name", ["root_curve", "spherical_helix"])
     def test_curvatures_match_oracle_steep(self, name):

@@ -1,9 +1,10 @@
 """Imported-but-unused names in the package, its tests and the demos,
 public names that nothing outside the tests uses, the optional
 parameters of the public callables, row-wise dot
-products taken any other way than through numerics.rowdot, and masked
+products taken any other way than through numerics.rowdot, masked
 max or min reductions taken any other way than through
-numerics._masked_maxima.
+numerics._masked_maxima, and imports of scipy, which the package does
+not require, outside curves.arclength_reparametrize.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -145,27 +146,34 @@ REDUCTIONS = {
 }
 
 
+def nodes_in_functions(source):
+    """Every node of a module below its function definitions, with the
+    name of the innermost function that holds it (None at module level)."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield child, function
+            yield from visit(child, function)
+
+    return visit(ast.parse(source), None)
+
+
 def masked_reductions(source):
     """(line, enclosing function) of every max or min call with a where=
     keyword: np.max(x, where=m), x.min(where=m), np.maximum.reduce(...)
     and the like."""
     hits = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "reduce" and isinstance(func.value, ast.Attribute):
-                    name = func.value.attr
-                if name in REDUCTIONS and any(k.arg == "where" for k in child.keywords):
-                    hits.append((child.lineno, function))
-            visit(child, function)
-
-    visit(ast.parse(source), None)
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "reduce" and isinstance(func.value, ast.Attribute):
+                name = func.value.attr
+            if name in REDUCTIONS and any(k.arg == "where" for k in node.keywords):
+                hits.append((node.lineno, function))
     return hits
 
 
@@ -190,6 +198,47 @@ def test_masked_reductions_are_found():
         "    return np.minimum.reduce(x, where=m) + np.add.reduce(x, where=m)\n"
     )
     assert masked_reductions(source) == [(2, "f"), (3, "f"), (5, "g")]
+
+
+def scipy_imports(source):
+    """(line, enclosing function) of every import of scipy or of a scipy
+    submodule."""
+    hits = []
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            hits.append((node.lineno, function))
+    return hits
+
+
+def test_scipy_is_imported_only_by_arclength_reparametrize():
+    # numpy is the one requirement: scipy is imported on the first call
+    # of the one function that uses it, and nowhere else
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} in {function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, function in scipy_imports(path.read_text(encoding="utf-8"))
+        if (path.name, function) != ("curves.py", "arclength_reparametrize")
+    ]
+    assert hits == []
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy import sparse\n"
+        "import scipyx\n"
+        "from . import scipy\n"
+        "def f():\n"
+        "    from scipy.interpolate import CubicSpline\n"
+        "    import numpy, scipy as sp\n"
+    )
+    assert scipy_imports(source) == [(1, None), (2, None), (6, "f"), (7, "f")]
 
 
 def frame_kernel_uses(source, module):
