@@ -63,6 +63,6 @@ c2 = osculating_coefficients(d2, PHASE)
 g2 = frenet_apparatus(integrate_direction_curve(direction_field(d2, c2)))
 rec = donor_from_direction(g2)
 inner = grid.interior(6)
-print(f"  recovered kappa: {np.mean(rec.kappa.data[inner]):.6f} (donor 0.5)")
-print(f"  recovered tau:   {np.mean(rec.tau.data[inner]):.6f} (donor 0.5)")
-print(f"  worst relative error: {max(np.max(np.abs(rec.kappa.data[inner]-0.5)), np.max(np.abs(rec.tau.data[inner]-0.5)))/0.5:.2e}")
+print(f"  recovered kappa: {np.mean(rec.kappa[inner]):.6f} (donor 0.5)")
+print(f"  recovered tau:   {np.mean(rec.tau[inner]):.6f} (donor 0.5)")
+print(f"  worst relative error: {max(np.max(np.abs(rec.kappa[inner]-0.5)), np.max(np.abs(rec.tau[inner]-0.5)))/0.5:.2e}")

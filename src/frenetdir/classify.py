@@ -17,10 +17,8 @@ from .errors import DomainError
 from .frenet import FrenetData, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
     _HALF,
     _masked_maxima,
-    _require_same_grid,
     _require_tol,
     _rows,
     norm,
@@ -109,12 +107,12 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     return constancy(f.ratio[_rows(mask)], rel_tol)
 
 
-def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
-    """Pointwise turning measure of the principal normal direction:
-    curvature^2 / (curvature^2 + torsion^2)^(3/2) times the arc-length
-    derivative of torsion/curvature.  NaN where the frame is undefined or
-    the derivative stencil touches such a sample.  Built in place in two
-    (n,) arrays beside the derivative, by the operations of
+def slant_helix_invariant(f: FrenetData) -> np.ndarray:
+    """Pointwise turning measure of the principal normal direction, an (n,)
+    array: curvature^2 / (curvature^2 + torsion^2)^(3/2) times the
+    arc-length derivative of torsion/curvature.  NaN where the frame is
+    undefined or the derivative stencil touches such a sample.  Built in
+    place in two (n,) arrays beside the derivative, by the operations of
     (kappa**2 / (kappa**2 + tau**2)**1.5) * d in their order."""
     if not np.any(f.frenet_valid):
         raise _no_samples("slant_helix_invariant")
@@ -127,7 +125,7 @@ def slant_helix_invariant(f: FrenetData) -> ScalarSamples:
         np.square(f.kappa, out=sigma)
         sigma /= sq
         sigma *= d
-    return ScalarSamples(f.grid, sigma)
+    return sigma
 
 
 def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
@@ -149,7 +147,7 @@ def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     test).
     """
     _require_tol("rel_tol", rel_tol)
-    sigma = slant_helix_invariant(f).data
+    sigma = slant_helix_invariant(f)
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
     mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma)
@@ -231,16 +229,17 @@ class RectifyingReport:
     is_rectifying: bool
 
 
-def rectifying_test(c: CurveSamples, f: FrenetData, tol: float = 2e-2) -> RectifyingReport:
+def rectifying_test(c: CurveSamples, tol: float = 2e-2) -> RectifyingReport:
     """Check whether the position vector stays in the rectifying plane and
-    torsion/curvature grows linearly in arc length.
+    torsion/curvature grows linearly in arc length, on the curve's stored
+    frame (frenet_apparatus).
 
     normal_component is max |<position, N>| / max |position| over usable
     samples; the fit residual is compared against tol scaled by the fitted
     line's own span, so steep and flat ratios are judged alike.
     """
-    _require_same_grid(c.grid, f.grid)
     _require_tol("tol", tol)
+    f = frenet_apparatus(c)
     mask = f.valid_interior()
     if not np.any(mask):
         raise _no_samples("rectifying_test")
@@ -326,7 +325,7 @@ def classify(
         if helix_ratio.is_constant
         else slant_helix_test(f, rel_tol)
     )
-    rect = rectifying_test(c, f, rect_tol)
+    rect = rectifying_test(c, rect_tol)
     return ClassificationReport(
         is_line=False,
         is_plane=is_plane,

@@ -18,8 +18,8 @@ from .curves import CurveSamples, _built_curve
 from .errors import DomainError
 from .frenet import KAPPA_FLOOR, FrenetData
 from .numerics import (
+    BOUNDARY_MARGIN,
     Grid,
-    ScalarSamples,
     VectorSamples,
     _blocks,
     _cumulative,
@@ -193,15 +193,17 @@ def compare_predicted(
     Numerical curvature is nonnegative, so it is checked against the
     magnitude of the signed prediction; the torsion prediction needs no
     sign adjustment (both signed quantities flip together through a
-    curvature zero).  Samples where |v| is at or below cos_floor, in
-    [0, 1), are excluded: there the curvature denominator amplifies grid
-    error.
+    curvature zero).  Rows within two boundary margins of either end are
+    not judged: g is integrated from the donor's frame, so its stencils
+    there read the donor's one-sided rows as well as its own.  Samples
+    where |v| is at or below cos_floor, in [0, 1), are excluded: there
+    the curvature denominator amplifies grid error.
     """
     _require_same_grid(g.grid, pb.grid)
     _require_same_grid(g.grid, dc.grid)
     _require_tol("atol", atol)
     _require_fraction("cos_floor", cos_floor)
-    mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
+    mask = g.valid_interior(2 * BOUNDARY_MARGIN) & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
     if not np.any(mask):
         return AgreementReport(np.nan, np.nan, 0, passed=False)
     dev_k, dev_t = _masked_maxima(mask, lambda rows: (
@@ -232,8 +234,10 @@ def _require_no_reversal(g: FrenetData) -> None:
 
 @dataclass(frozen=True)
 class RecoveredCurvatures:
-    kappa: ScalarSamples
-    tau: ScalarSamples
+    """The donor's curvature and torsion per sample, (n,) arrays."""
+
+    kappa: np.ndarray
+    tau: np.ndarray
 
 
 def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
@@ -267,10 +271,7 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     kappa /= sq
     kappa *= d
     np.abs(kappa, out=kappa)
-    return RecoveredCurvatures(
-        kappa=ScalarSamples(g.grid, kappa),
-        tau=ScalarSamples(g.grid, np.sqrt(sq, out=sq)),
-    )
+    return RecoveredCurvatures(kappa=kappa, tau=np.sqrt(sq, out=sq))
 
 
 @dataclass(frozen=True)

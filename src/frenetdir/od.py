@@ -42,7 +42,6 @@ from .errors import DomainError
 from .frenet import FrenetData, _frenet, _ratio
 from .numerics import (
     BOUNDARY_MARGIN,
-    VectorSamples,
     _blocks,
     _cumulative,
     _masked_maxima,
@@ -101,9 +100,9 @@ def _darboux(ratio: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ratio[:, None] * T + B
 
 
-def modified_darboux(f: FrenetData) -> VectorSamples:
-    """Rotation-axis field (torsion/curvature) T + B, NaN where the frame
-    is undefined.
+def modified_darboux(f: FrenetData) -> np.ndarray:
+    """Rotation-axis field (torsion/curvature) T + B, an (n, 3) array, NaN
+    where the frame is undefined.
 
     Its accuracy is that of tau / kappa, so it holds on f.valid_interior();
     the boundary rows inherit the roundoff of the one-sided
@@ -113,7 +112,7 @@ def modified_darboux(f: FrenetData) -> VectorSamples:
         raise DomainError("modified_darboux: curvature below floor everywhere")
     # NaN on every row without a frame, whatever a hand-built FrenetData
     # holds there: FrenetData.ratio is NaN there, and so is NaN * T + B
-    return VectorSamples(f.grid, _darboux(f.ratio, f.T, f.B))
+    return _darboux(f.ratio, f.T, f.B)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,8 @@ def verify_od_properties(
     pass the scratch goes, the arc length overwrites the speed, and each
     line fit holds only what it reads: the ratio line its rows of
     s - s[0] and torsion/curvature and its own centred pair, four (n,)
-    arrays at most.  The report is bit-identical to rectifying_test and
-    unit_speed_deviation on frenet_apparatus(gamma).
+    arrays at most.  The report is bit-identical to rectifying_test(gamma)
+    and unit_speed_deviation(frenet_apparatus(gamma)).
     """
     _require_tol("tol", tol)
     grid = gamma.grid

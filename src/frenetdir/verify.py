@@ -37,11 +37,10 @@ from .direction import (
 from .frenet import FRAME_SYSTEM_TOL, frenet_apparatus, frenet_derivative_check, verify_frame
 from .numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
+    _cumulative,
+    _derivative,
     _masked_maxima,
     _require_tol,
-    cumulative_integral,
-    derivative,
     norm,
     uniform_grid,
 )
@@ -85,13 +84,8 @@ def _curve(ctx, name, lo=None, hi=None, n=DEFAULT_N):
     return ctx[key]
 
 
-def _frenet(ctx, name, lo=None, hi=None, n=DEFAULT_N):
-    # computed once per cached curve, on the curve itself
-    return frenet_apparatus(_curve(ctx, name, lo, hi, n))
-
-
 def _pair(ctx, name, phase, lo=None, hi=None, n=DEFAULT_N):
-    f = _frenet(ctx, name, lo, hi, n)
+    f = frenet_apparatus(_curve(ctx, name, lo, hi, n))
     key = ("pair", name, f.grid, phase)
     if key not in ctx:
         dc = osculating_coefficients(f, phase)
@@ -101,7 +95,7 @@ def _pair(ctx, name, phase, lo=None, hi=None, n=DEFAULT_N):
 
 
 def _spherical_pair(ctx):
-    f = _frenet(ctx, "spherical_helix", -0.49, 0.49, 801)
+    f = frenet_apparatus(_curve(ctx, "spherical_helix", -0.49, 0.49, 801))
     span = osculating_coefficients(f, 0.0).theta[-1]
     return _pair(ctx, "spherical_helix", np.pi / 2 + (np.pi / 2 - span) / 2, -0.49, 0.49, 801)
 
@@ -112,7 +106,7 @@ def _constant_rows(ctx):
         ("helix_12_5", 12.0 / 169.0, 5.0 / 169.0),
         ("circular_helix", 0.5, 0.5),
     ):
-        f = _frenet(ctx, name)
+        f = frenet_apparatus(_curve(ctx, name))
         m = f.valid_interior()
         dev = max(_masked_maxima(m, lambda r: (np.abs(f.kappa[r] - k0), np.abs(f.tau[r] - t0))))
         rows.append(_row("constants", name, dev, 1e-6))
@@ -152,7 +146,7 @@ def _round_trip_rows(ctx):
         rec = donor_from_direction(g)
         inner = g.valid_interior(6)
         dev = max(_masked_maxima(inner, lambda r: (
-            np.abs(rec.kappa.data[r] - k0) / k0, np.abs(rec.tau.data[r] - t0) / t0)))
+            np.abs(rec.kappa[r] - k0) / k0, np.abs(rec.tau[r] - t0) / t0)))
         rows.append(_row("thm3.4", name, dev, 1e-3))
     return rows
 
@@ -203,7 +197,7 @@ def _rectifying_rows(ctx):
         ("root_curve", 0.05, 0.95),
         ("helix_12_5", 0.0, 169.0),
     ):
-        f = _frenet(ctx, name, lo, hi)
+        f = frenet_apparatus(_curve(ctx, name, lo, hi))
         rep = verify_od_properties(od_osculating_curve(f, p), p)
         dev = max(
             rep.rectifying.normal_component,
@@ -245,18 +239,18 @@ def _flags(rep):
 def _property_rows(ctx):
     rows = []
 
-    dev = max(verify_frame(_frenet(ctx, name)).worst for name in catalog_names())
+    dev = max(verify_frame(frenet_apparatus(_curve(ctx, name))).worst for name in catalog_names())
     rows.append(_row("props", "orthonormality", dev, 1e-6))
 
     dev = 0.0
     for name, lo, hi in _RESOLVABLE:
-        r = frenet_derivative_check(_frenet(ctx, name, lo, hi))
+        r = frenet_derivative_check(frenet_apparatus(_curve(ctx, name, lo, hi)))
         dev = max(dev, r.res_T, r.res_N, r.res_B)
     rows.append(_row("props", "frame-system", dev, FRAME_SYSTEM_TOL))
 
     dev = 0.0
     for name, lo, hi in _RESOLVABLE:
-        f = _frenet(ctx, name, lo, hi)
+        f = frenet_apparatus(_curve(ctx, name, lo, hi))
         dc = osculating_coefficients(f, np.pi / 4)
         x = direction_field(f, dc).data
         dev = max(dev, np.max(np.abs(norm(x) - 1.0)))
@@ -264,8 +258,8 @@ def _property_rows(ctx):
 
     def deriv_err(n, order, exact):
         g = uniform_grid(0.0, 1.5, n)
-        d = derivative(ScalarSamples(g, np.sin(3 * g.values)), order)
-        return np.max(np.abs(d.data - exact(g.values)))
+        d = _derivative(np.sin(3 * g.values), order, g.h)
+        return np.max(np.abs(d - exact(g.values)))
 
     factors = []
     for order, exact in (
@@ -277,8 +271,8 @@ def _property_rows(ctx):
 
     def integral_err(n):
         g = uniform_grid(0.0, 2.0, n)
-        out = cumulative_integral(ScalarSamples(g, np.cos(g.values)))
-        return np.max(np.abs(out.data - np.sin(g.values)))
+        out = _cumulative(np.cos(g.values), g.h, 0.0)
+        return np.max(np.abs(out - np.sin(g.values)))
 
     factors.append(integral_err(201) / integral_err(401))
     rows.append(_row("props", "convergence", min(factors), 12.0, exceeds=True))

@@ -123,8 +123,8 @@ def test_05_donor_recovery_round_trip():
         inner = g.grid.interior(6)
         dev = max(
             dev,
-            float(np.max(np.abs(rec.kappa.data[inner] - k0) / k0)),
-            float(np.max(np.abs(rec.tau.data[inner] - t0) / t0)),
+            float(np.max(np.abs(rec.kappa[inner] - k0) / k0)),
+            float(np.max(np.abs(rec.tau[inner] - t0) / t0)),
         )
     report("donor recovery round trip", dev < 1e-3, f"max rel dev {dev:.2e}")
 
@@ -194,7 +194,7 @@ def test_08_companions_pass_three_checks():
 
 def test_08_plain_helix_fails_rectifying():
     c = evaluate_catalog("circular_helix")
-    rep = rectifying_test(c, frenet_apparatus(c))
+    rep = rectifying_test(c)
     report(
         "plain helix is not rectifying",
         not rep.is_rectifying,

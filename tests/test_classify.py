@@ -71,7 +71,7 @@ def straight_segment(n=101):
 
 
 def invariant_mask(g, margin=3 * BOUNDARY_MARGIN, cos_floor=0.05):
-    sigma = slant_helix_invariant(g).data
+    sigma = slant_helix_invariant(g)
     mask = np.zeros(g.grid.n, dtype=bool)
     mask[g.grid.interior(margin)] = True
     mask &= np.isfinite(sigma)
@@ -147,7 +147,7 @@ class TestSlantHelixInvariant:
 
     def test_nan_where_frame_undefined(self):
         g = dir_curve(donor("circular_helix"), np.pi / 4)
-        sigma = slant_helix_invariant(g).data
+        sigma = slant_helix_invariant(g)
         assert np.any(~g.frenet_valid)
         assert np.all(np.isnan(sigma[~g.frenet_valid]))
 
@@ -198,7 +198,7 @@ class TestSlantHelixTest:
         # is 1.1e-7), and give |sigma| = 2.1e11
         lo, hi = catalog_entry("circular_helix").domain
         g = dir_curve(donor("circular_helix", lo, hi, 201), 0.0)
-        sigma = slant_helix_invariant(g).data
+        sigma = slant_helix_invariant(g)
         assert np.abs(sigma[[48, 52]]).min() > 1e11
         rep = slant_helix_test(g)
         assert rep.max < 1.001
@@ -247,7 +247,7 @@ class TestPlaneAndLine:
 class TestRectifyingTest:
     def test_plain_helix_fails(self):
         c = evaluate_catalog("circular_helix")
-        rep = rectifying_test(c, frenet_apparatus(c))
+        rep = rectifying_test(c)
         assert not rep.is_rectifying
         # The normal component of the position is order one for a helix
         # through the origin, nowhere near the rectifying plane.
@@ -256,21 +256,15 @@ class TestRectifyingTest:
         assert abs(rep.fit.intercept - 1.0) < 1e-6
         assert rep.fit.max_residual < 1e-6
 
-    def test_grid_mismatch(self):
-        c = evaluate_catalog("circular_helix")
-        f = donor("circular_helix", 0.0, 2 * np.pi, 1001)
-        with pytest.raises(ValueError, match="grids differ"):
-            rectifying_test(c, f)
-
     def test_rejects_bad_tolerance(self):
         c = evaluate_catalog("circular_helix")
         with pytest.raises(ValueError, match="tol"):
-            rectifying_test(c, frenet_apparatus(c), tol=0.0)
+            rectifying_test(c, tol=0.0)
 
     def test_line_raises(self):
         c = straight_segment()
         with pytest.raises(DomainError, match="no usable samples"):
-            rectifying_test(c, frenet_apparatus(c))
+            rectifying_test(c)
 
 
 class TestClassify:
@@ -353,7 +347,7 @@ class TestFitLine:
         c = evaluate_catalog(name, grid=None if lo is None else uniform_grid(lo, hi, 2001))
         f = frenet_apparatus(c)
         p = ODParameters(1.0, 1.0)
-        rectifying_test(c, f)
+        rectifying_test(c)
         verify_od_properties(c, p)
         verify_od_properties(od_osculating_curve(f, p), p)
         assert [who for *_, who in rows] == [

@@ -32,7 +32,13 @@ from frenetdir.frenet import (
     frenet_apparatus,
     unit_speed_deviation,
 )
-from frenetdir.numerics import VectorSamples, _rows, cumulative_integral, uniform_grid
+from frenetdir.numerics import (
+    BOUNDARY_MARGIN,
+    VectorSamples,
+    _rows,
+    cumulative_integral,
+    uniform_grid,
+)
 
 from oracles import WARPED_HELICES, warped_helix
 
@@ -315,7 +321,8 @@ class TestCompareAgainstPrediction:
 
     @staticmethod
     def gathered(g, pb, dc, cos_floor):
-        mask = g.valid_interior() & ~dc.degeneracy_flags & (np.abs(dc.v) > cos_floor)
+        mask = g.valid_interior(2 * BOUNDARY_MARGIN) & ~dc.degeneracy_flags
+        mask &= np.abs(dc.v) > cos_floor
         dev_k = float(np.max(np.abs(g.kappa[mask] - np.abs(pb.kappa_bar_signed[mask]))))
         dev_t = float(np.max(np.abs(g.tau[mask] - pb.tau_bar_signed[mask])))
         return mask, dev_k, dev_t
@@ -341,6 +348,24 @@ class TestCompareAgainstPrediction:
         assert not isinstance(_rows(mask), slice)
         report = compare_predicted(g, pb, dc, cos_floor=0.05)
         assert (report.dev_kappa, report.dev_tau) == (dev_k, dev_t)
+
+    def test_rows_within_two_margins_of_the_ends_are_not_judged(self):
+        # g's stencils near either end read the donor's one-sided rows as
+        # well as their own: on this spherical helix the torsion gap reaches
+        # 2.2e-3 at row n - 4, one margin in, and stays below 1e-5 from two
+        # margins in
+        grid = uniform_grid(-0.4890187498204478, 0.4769329505820509, 1933)
+        phase = 6.043232887111382
+        f = frenet_apparatus(evaluate_catalog("spherical_helix", grid=grid))
+        dc = osculating_coefficients(f, phase)
+        g = frenet_apparatus(osculating_direction_curve(f, phase))
+        pb = predicted_bar_data(f, dc)
+        report = compare_predicted(g, pb, dc, cos_floor=0.05)
+        assert report.passed
+        assert report.dev_tau < 1e-5
+        edge = grid.n - 1 - BOUNDARY_MARGIN
+        assert g.frenet_valid[edge] and abs(dc.v[edge]) > 0.05
+        assert abs(g.tau[edge] - pb.tau_bar_signed[edge]) > 2e-4
 
     def test_rows_outside_the_mask_raise_no_warning(self):
         # inf - inf on a boundary row and on a row below the cos floor
@@ -382,8 +407,8 @@ class TestDonorRecovery:
         )
         rec = donor_from_direction(fake)
         inner = grid.interior()
-        assert np.max(np.abs(rec.kappa.data[inner] - 0.5)) < 1e-3
-        assert np.max(np.abs(rec.tau.data[inner] - 0.5)) < 1e-3
+        assert np.max(np.abs(rec.kappa[inner] - 0.5)) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - 0.5)) < 1e-3
 
     def test_constant_curvature_zero_torsion_input(self):
         grid = uniform_grid(0.0, 2.0, 101)
@@ -399,8 +424,8 @@ class TestDonorRecovery:
             speed=np.ones(n),
         )
         rec = donor_from_direction(fake)
-        assert np.allclose(rec.kappa.data, 0.0, atol=1e-12)
-        assert np.allclose(rec.tau.data, 0.3, atol=1e-12)
+        assert np.allclose(rec.kappa, 0.0, atol=1e-12)
+        assert np.allclose(rec.tau, 0.3, atol=1e-12)
 
     def test_round_trip_helix(self):
         # sub-interval keeps cos(theta) > 0.05; n chosen at the error floor
@@ -409,8 +434,8 @@ class TestDonorRecovery:
         _, _, g = constructed("circular_helix", grid=grid)
         rec = donor_from_direction(g)
         inner = grid.interior(6)
-        assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
-        assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.kappa[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - 0.5) / 0.5) < 1e-3
 
     def test_round_trip_warped_parameter(self):
         # the window of test_round_trip_helix on a parameter that is not arc
@@ -420,8 +445,8 @@ class TestDonorRecovery:
         g = frenet_apparatus(osculating_direction_curve(f, np.pi / 4))
         rec = donor_from_direction(g)
         inner = g.valid_interior(6)
-        assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
-        assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.kappa[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - 0.5) / 0.5) < 1e-3
 
     @pytest.mark.parametrize("mirror, shift", [(1.0, 0.0), (-1.0, 0.0), (1.0, np.pi), (-1.0, np.pi)],
                              ids=["plain", "mirrored", "shifted", "mirrored-shifted"])
@@ -437,9 +462,9 @@ class TestDonorRecovery:
         rec = donor_from_direction(g)
         inner = grid.interior(6)
         assert np.all(np.sign(g.tau[inner]) == mirror * np.cos(shift))
-        assert np.all(rec.kappa.data >= 0.0)
-        assert np.max(np.abs(rec.kappa.data[inner] - 0.5) / 0.5) < 1e-3
-        assert np.max(np.abs(rec.tau.data[inner] - 0.5) / 0.5) < 1e-3
+        assert np.all(rec.kappa >= 0.0)
+        assert np.max(np.abs(rec.kappa[inner] - 0.5) / 0.5) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - 0.5) / 0.5) < 1e-3
 
     def test_round_trip_helix_12_5(self):
         grid = uniform_grid(0.0, 10.35, 201)
@@ -447,8 +472,8 @@ class TestDonorRecovery:
         rec = donor_from_direction(g)
         inner = grid.interior(6)
         kap, tau = 12.0 / 169.0, 5.0 / 169.0
-        assert np.max(np.abs(rec.kappa.data[inner] - kap) / kap) < 1e-3
-        assert np.max(np.abs(rec.tau.data[inner] - tau) / tau) < 1e-3
+        assert np.max(np.abs(rec.kappa[inner] - kap) / kap) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - tau) / tau) < 1e-3
 
     def test_degenerate_curvature_rejected_with_interval(self):
         # on the full period the constructed curve's curvature crosses zero

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frenetdir import frenet, numerics
-from frenetdir.classify import classify
+from frenetdir.classify import classify, rectifying_test
 from frenetdir.curves import CurveSamples, catalog_names, evaluate_catalog
 from frenetdir.errors import DomainError
 from frenetdir.frenet import (
@@ -332,9 +332,10 @@ class TestOneFramePerCurve:
         assert np.array_equal(f.kappa, before)
         assert np.array_equal(f.kappa, frenet_apparatus(CurveSamples(g, 0.5 * pts)).kappa)
 
-    def test_classify_reuses_the_callers_frame(self, monkeypatch):
+    @staticmethod
+    def counted_kernel_calls(monkeypatch):
         # frenet_apparatus differentiates through the row-range kernel, once
-        # per order and block; this curve is one block
+        # per order and block; the curves below are one block
         calls = collections.Counter()
         kernel = frenet._derivative
 
@@ -343,10 +344,22 @@ class TestOneFramePerCurve:
             return kernel(y, order, *args)
 
         monkeypatch.setattr(frenet, "_derivative", counted)
+        return calls
+
+    def test_classify_reuses_the_callers_frame(self, monkeypatch):
+        calls = self.counted_kernel_calls(monkeypatch)
         c = evaluate_catalog("circular_helix")
         frenet_apparatus(c)
         classify(c)
         assert calls == {1: 1, 2: 1, 3: 1}
+
+    def test_rectifying_test_reuses_the_callers_frame(self, monkeypatch):
+        calls = self.counted_kernel_calls(monkeypatch)
+        c = evaluate_catalog("helix_12_5")
+        f = frenet_apparatus(c)
+        rectifying_test(c)
+        assert calls == {1: 1, 2: 1, 3: 1}
+        assert frenet_apparatus(c) is f
 
 
 class TestDerivativeIdentities:

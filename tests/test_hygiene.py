@@ -3,8 +3,10 @@ public names that nothing outside the tests uses, the optional
 parameters of the public callables, row-wise dot
 products taken any other way than through numerics.rowdot, masked
 max or min reductions taken any other way than through
-numerics._masked_maxima, and imports of scipy, which the package does
-not require, outside curves.arclength_reparametrize.
+numerics._masked_maxima, imports of scipy, which the package does
+not require, outside curves.arclength_reparametrize, uses of the frame
+kernel frenet._frenet, and calls of the ScalarSamples and VectorSamples
+wrappers by name.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -241,11 +243,49 @@ def test_scipy_imports_are_found():
     assert scipy_imports(source) == [(1, None), (2, None), (6, "f"), (7, "f")]
 
 
+SAMPLES = {"ScalarSamples", "VectorSamples"}
+
+
+def samples_builds(source):
+    """(line, enclosing function) of every call of ScalarSamples or
+    VectorSamples by name: ScalarSamples(...) or numerics.VectorSamples(...)."""
+    hits = []
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in SAMPLES:
+                hits.append((node.lineno, function))
+    return hits
+
+
+def test_only_direction_field_builds_a_samples_wrapper():
+    # per-sample results are plain arrays; direction_field keeps its
+    # VectorSamples while the benchmark calls it
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} in {function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, function in samples_builds(path.read_text(encoding="utf-8"))
+        if (path.name, function) != ("direction.py", "direction_field")
+    ]
+    assert hits == []
+
+
+def test_samples_builds_are_found():
+    source = (
+        "def f(g, x):\n"
+        "    a = ScalarSamples(g, x)\n"
+        "    return numerics.VectorSamples(g, x), type(a)(g, x), Samples(g, x)\n"
+        "b = VectorSamples(grid, pts)\n"
+    )
+    assert samples_builds(source) == [(2, "f"), (3, "f"), (4, None)]
+
+
 def frame_kernel_uses(source, module):
     """(line, top-level function) of every use of frenet._frenet in a
     package module: by its name in frenet.py or where it is imported from
-    .frenet, or as frenet._frenet.  Another module's own _frenet (verify.py
-    has one) is not it."""
+    .frenet, or as frenet._frenet.  Another module's own _frenet is not
+    it."""
     tree = ast.parse(source)
     names = {"_frenet"} if module == "frenet" else set()
     for node in ast.walk(tree):

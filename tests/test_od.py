@@ -238,11 +238,11 @@ class TestModifiedDarboux:
         f = donor("helix_12_5")
         ref = (5.0 / 12.0) * f.T + f.B
         rows = f.valid_interior()
-        assert np.max(np.abs(modified_darboux(f).data[rows] - ref[rows])) < 1e-7
+        assert np.max(np.abs(modified_darboux(f)[rows] - ref[rows])) < 1e-7
 
     def test_unit_helix_axis_norm(self):
         f = donor("circular_helix")
-        norms = np.linalg.norm(modified_darboux(f).data, axis=1)
+        norms = np.linalg.norm(modified_darboux(f), axis=1)
         itr = f.grid.interior(6)
         assert np.max(np.abs(norms[itr] - np.sqrt(2.0))) < 1e-7
 
@@ -255,14 +255,14 @@ class TestModifiedDarboux:
         )
         f = frenet_apparatus(circle)
         itr = f.grid.interior(6)
-        assert np.max(np.abs(modified_darboux(f).data[itr] - f.B[itr])) < 1e-12
+        assert np.max(np.abs(modified_darboux(f)[itr] - f.B[itr])) < 1e-12
 
     def test_nan_where_frame_undefined(self):
         f = donor("circular_helix")
         dc = osculating_coefficients(f, np.pi / 4)
         g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc)))
         assert np.any(~g.frenet_valid)
-        axis = modified_darboux(g).data
+        axis = modified_darboux(g)
         assert np.all(np.isnan(axis[~g.frenet_valid]))
         assert np.all(np.isfinite(axis[g.frenet_valid]))
 
@@ -281,7 +281,7 @@ class TestModifiedDarboux:
         m = g.frenet_valid
         expected = np.full((g.grid.n, 3), np.nan)
         expected[m] = (g.tau[m] / g.kappa[m])[:, None] * g.T[m] + g.B[m]
-        assert np.array_equal(modified_darboux(g).data, expected, equal_nan=True)
+        assert np.array_equal(modified_darboux(g), expected, equal_nan=True)
 
 
 class TestVerify:
@@ -379,7 +379,7 @@ class TestVerify:
         g = frenet_apparatus(gamma)
         mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g.kappa, g.tau)
         assert isinstance(_rows(mask), slice)
-        pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
+        pts, ax = gamma.points[mask], modified_darboux(g)[mask]
         expected = np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12))
         assert verify_od_properties(gamma, p).cross_ratio == float(expected)
 
@@ -387,7 +387,7 @@ class TestVerify:
     def gathered_cross_ratio(gamma):
         g = frenet_apparatus(gamma)
         mask = g.valid_interior(2 * BOUNDARY_MARGIN) & _resolved_ratio(g.kappa, g.tau)
-        pts, ax = gamma.points[mask], modified_darboux(g).data[mask]
+        pts, ax = gamma.points[mask], modified_darboux(g)[mask]
         return mask, float(np.max(norm(cross(pts, ax)) / np.maximum(norm(pts) * norm(ax), 1e-12)))
 
     def test_cross_ratio_equals_gathered_rows_on_a_multi_run_mask(self):
@@ -434,7 +434,7 @@ class TestVerify:
         assert "_frenet" not in copy.__dict__
         g = frenet_apparatus(gamma)
         assert report == verify_od_properties(gamma, p)
-        assert report.rectifying == rectifying_test(gamma, g)
+        assert report.rectifying == rectifying_test(gamma)
         assert report.speed_deviation == unit_speed_deviation(g)
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64])

@@ -55,7 +55,7 @@ def calls():
         "verify_frame": lambda t: verify_frame(f, tol=t),
         "general_helix_test": lambda t: general_helix_test(f, rel_tol=t),
         "slant_helix_test": lambda t: slant_helix_test(g, rel_tol=t),
-        "rectifying_test": lambda t: rectifying_test(c, f, tol=t),
+        "rectifying_test": lambda t: rectifying_test(c, tol=t),
         "classify.rel_tol": lambda t: classify(c, rel_tol=t),
         "classify.rect_tol": lambda t: classify(c, rect_tol=t),
         "mannheim_check": lambda t: mannheim_check(g, f, tol=t),
