@@ -61,7 +61,6 @@ from .frenet import (
 from .numerics import (
     BOUNDARY_MARGIN,
     Grid,
-    ScalarSamples,
     VectorSamples,
     cumulative_integral,
     derivative,
@@ -101,7 +100,6 @@ __all__ = [
     "RecoveredCurvatures",
     "RectifyingReport",
     "ResidualCheck",
-    "ScalarSamples",
     "VectorSamples",
     "arclength_reparametrize",
     "binormal_direction_curve",

@@ -106,7 +106,7 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -411,9 +411,6 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,6 +84,8 @@ def osculating_coefficients(f: FrenetData, phase_c: float) -> DirectionCoefficie
     for, so a sweep over phases holds no more than one."""
     _require_valid(f, "osculating_coefficients")
     phase_c = float(phase_c)
+    if not np.isfinite(phase_c):
+        raise ValueError(f"phase_c must be finite, got {phase_c}")
     dc = f.__dict__.get("_coefficients")
     # bits, not ==: -0.0 gives theta[0] and u[0] the other sign than 0.0
     if dc is not None and dc.phase_c.hex() == phase_c.hex():

@@ -45,7 +45,7 @@ about a quarter of the rows differently).  The one-sided derivative rows
 of each side are one batched dot (np.vecdot) over a new C-ordered array
 of differences, contiguous along the window, so they too give the same
 bits in every layout, and the same bits as one dot per row (see
-derivative).
+_derivative).
 
 Every worst-row statistic (_masked_maxima) reduces block by block over
 a slice or a mask's span, with where=, then takes the max over the
@@ -55,7 +55,7 @@ minus the max of the negated statistic, which is exact too.
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class Grid:
     def __post_init__(self):
         if self.n < MIN_SAMPLES:
             raise ValueError(f"grid needs at least {MIN_SAMPLES} samples, got {self.n}")
+        if not (isfinite(self.s_min) and isfinite(self.s_max)):
+            raise ValueError(f"grid ends must be finite, got [{self.s_min}, {self.s_max}]")
         if not self.s_min < self.s_max:
             raise ValueError(f"empty grid interval [{self.s_min}, {self.s_max}]")
 
@@ -115,18 +117,6 @@ def _require_same_grid(a: Grid, b: Grid) -> None:
 def uniform_grid(s_min: float, s_max: float, n: int) -> Grid:
     """Build a uniform grid; n must be at least MIN_SAMPLES."""
     return Grid(float(s_min), float(s_max), int(n))
-
-
-@dataclass(frozen=True)
-class ScalarSamples:
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.shape != (self.grid.n,):
-            raise ValueError(f"scalar data shape {data.shape} does not match grid n={self.grid.n}")
-        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -280,14 +270,33 @@ def _one_sided(w: np.ndarray, window: np.ndarray, rows: np.ndarray) -> np.ndarra
 
 def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Rows lo..hi-1 of the stencil derivative of (n,) or (n, 3) data into
-    one output array: out if given (of any layout), else a new C-ordered
-    one.  The central rows correlate each column through its own (possibly
+    """Rows lo..hi-1 of the order-th (1, 2 or 3) stencil derivative of (n,)
+    or (n, 3) data on a grid of spacing h, into one output array: out if
+    given (of any layout), else a new C-ordered one.
+
+    The stencil weights of each order are solved once and reused across
+    calls.  Interior points are O(h^4); the first and last two rows (three
+    for order 3, all within BOUNDARY_MARGIN) use one-sided windows of
+    truncation order O(h^5) (see _EDGE_WINDOW).  A one-sided row weights
+    the differences of its window against its own sample: the weights sum
+    to zero, but once rounded they do not exactly, and weighting the
+    samples themselves would add that residue times |y|, over h^order.
+    The rounding the samples carry still gives those rows roundoff of
+    order sum|w| * ulp(max|y|) / h^order, with sum|w| = 217 on the
+    outermost order-3 row against 5.5 for the central stencil, so on fine
+    grids of data far from the origin they are roundoff-dominated.
+    Accuracy statements hold on the interior rows
+    (FrenetData.valid_interior).
+
+    The central rows correlate each column through its own (possibly
     strided) view of y; the one-sided rows of each side are one batched
-    dot (_one_sided).  Every row is bit-identical to the same row of the
-    whole-array call: a central row correlates the same window of the
-    column whatever slice it is read from, and a one-sided row weights the
-    same differences."""
+    dot (_one_sided) with a new array of differences, contiguous along the
+    window: the same float64 dot as one w @ (window - sample) per row.  So
+    every row gives the same bits whatever the memory layout of y, and
+    each column of (n, 3) data the same bits as that column alone.  Every
+    row is also bit-identical to the same row of the whole-array call: a
+    central row correlates the same window of the column whatever slice it
+    is read from, and a one-sided row weights the same differences."""
     n = y.shape[0]
     hi = n if hi is None else hi
     center, head, tail = _weights(order)
@@ -315,49 +324,24 @@ def _derivative(y: np.ndarray, order: int, h: float, lo: int = 0, hi: int | None
 
 
 def derivative(f, order: int):
-    """Differentiate sampled data on its uniform grid.
-
-    Parameters
-    ----------
-    f : ScalarSamples or VectorSamples
-    order : int
-        1, 2, or 3.
-
-    Returns
-    -------
-    Samples of the same kind holding the order-th derivative.  The stencil
-    weights of each order are solved once and reused across calls.  Interior
-    points are O(h^4); the first and last two rows (three for order 3, all
-    within BOUNDARY_MARGIN) use one-sided windows of truncation order
-    O(h^5) (see _EDGE_WINDOW).  A one-sided row weights the differences of
-    its window against its own sample: the weights sum to zero, but once
-    rounded they do not exactly, and weighting the samples themselves
-    would add that residue times |f|, over h^order.  The rounding the
-    samples carry still gives those rows roundoff of order
-    sum|w| * ulp(max|f|) / h^order, with sum|w| = 217 on the outermost
-    order-3 row against 5.5 for the central stencil, so on fine grids of
-    data far from the origin they are roundoff-dominated.  Accuracy
-    statements hold on the interior rows (FrenetData.valid_interior).
-
-    Every row gives the same bits whatever the memory layout of f.data:
-    the central rows correlate a column view, and the one-sided rows of
-    each side are one batched dot (np.vecdot) with a new array of
-    differences, contiguous along the window: the same float64 dot as one
-    w @ (window - sample) per row, so the same bits.  Each column of a
-    vector derivative is bit-identical to the scalar derivative of that
-    column.
-    """
+    """The order-th derivative of VectorSamples, as VectorSamples on the
+    same grid (see _derivative).  It serves the benchmark's traced probe
+    until ROADMAP item 4; the library calls _derivative."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    if not isinstance(f, (ScalarSamples, VectorSamples)):
-        raise TypeError("derivative expects ScalarSamples or VectorSamples")
+    if not isinstance(f, VectorSamples):
+        raise TypeError("derivative expects VectorSamples")
     return type(f)(f.grid, _derivative(f.data, order, f.grid.h))
 
 
 def _cumulative(y: np.ndarray, h: float, initial, out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative integral of (n,) or (n, 3) data; initial is a float or
-    one value per column.  Written into out if given, which may be y
-    itself: every panel is complete before out is written."""
+    """Cumulative integral of (n,) or (n, 3) data on a grid of spacing h,
+    starting at initial (a float or one value per column).  Written into
+    out if given, which may be y itself: every panel is complete before
+    out is written.
+
+    Cubic integrands are reproduced exactly at every sample and the scheme
+    is globally O(h^4) for smooth data."""
     n = y.shape[0]
     # Integral over each single interval from the cubic through the four
     # nearest nodes.  One stencil family for every interior interval keeps
@@ -391,11 +375,10 @@ def _cumulative(y: np.ndarray, h: float, initial, out: np.ndarray | None = None)
 
 
 def cumulative_integral(f):
-    """Cumulative integral along the grid, anchored at 0 at the first sample.
-
-    Cubic integrands are reproduced exactly at every sample and the scheme
-    is globally O(h^4) for smooth data.
-    """
-    if not isinstance(f, (ScalarSamples, VectorSamples)):
-        raise TypeError("cumulative_integral expects ScalarSamples or VectorSamples")
+    """The cumulative integral of VectorSamples, 0 at the first sample, as
+    VectorSamples on the same grid (see _cumulative).  It serves the
+    benchmark's traced probe until ROADMAP item 4; the library calls
+    _cumulative."""
+    if not isinstance(f, VectorSamples):
+        raise TypeError("cumulative_integral expects VectorSamples")
     return type(f)(f.grid, _cumulative(f.data, f.grid.h, 0.0))

@@ -88,9 +88,7 @@ def _pair(ctx, name, phase, lo=None, hi=None, n=DEFAULT_N):
     f = frenet_apparatus(_curve(ctx, name, lo, hi, n))
     key = ("pair", name, f.grid, phase)
     if key not in ctx:
-        dc = osculating_coefficients(f, phase)
-        g = frenet_apparatus(osculating_direction_curve(f, phase))
-        ctx[key] = (f, dc, g)
+        ctx[key] = (f, frenet_apparatus(osculating_direction_curve(f, phase)))
     return ctx[key]
 
 
@@ -116,14 +114,14 @@ def _constant_rows(ctx):
 def _mannheim_rows(ctx):
     rows = []
     for name in ("circular_helix", "helix_12_5"):
-        f, _, g = _pair(ctx, name, np.pi / 4)
+        f, g = _pair(ctx, name, np.pi / 4)
         rep = mannheim_check(g, f)
         rows.append(_row("thm3.2", name, 1.0 - rep.min_alignment, 1e-4))
     return rows
 
 
 def _bar_agreement_rows(ctx):
-    _, _, g = _pair(ctx, "circular_helix", np.pi / 4)
+    _, g = _pair(ctx, "circular_helix", np.pi / 4)
     s = g.grid.values
     angle = s / 2 + np.pi / 4
     pred_kappa = np.abs(0.5 * np.cos(angle))
@@ -142,9 +140,9 @@ def _round_trip_rows(ctx):
         ("circular_helix", 1.47, 0.5, 0.5),
         ("helix_12_5", 10.35, 12.0 / 169.0, 5.0 / 169.0),
     ):
-        _, _, g = _pair(ctx, name, np.pi / 4, 0.0, hi, 201)
+        _, g = _pair(ctx, name, np.pi / 4, 0.0, hi, 201)
         rec = donor_from_direction(g)
-        inner = g.valid_interior(6)
+        inner = g.valid_interior(2 * BOUNDARY_MARGIN)
         dev = max(_masked_maxima(inner, lambda r: (
             np.abs(rec.kappa[r] - k0) / k0, np.abs(rec.tau[r] - t0) / t0)))
         rows.append(_row("thm3.4", name, dev, 1e-3))
@@ -157,11 +155,11 @@ def _sigma_rows(ctx):
         ("circular_helix", np.pi / 4, 1.0, 1e-2),
         ("helix_12_5", 0.11, 2.4, 1e-2),
     ):
-        _, _, g = _pair(ctx, name, phase)
+        _, g = _pair(ctx, name, phase)
         rep = slant_helix_test(g)
         dev = max(abs(rep.mean - expect), rep.rel_variation)
         rows.append(_row("thm4.1", name, dev, tol))
-    _, _, g = _spherical_pair(ctx)
+    _, g = _spherical_pair(ctx)
     rep = slant_helix_test(g)
     dev = max(abs(abs(rep.mean) - 2.0), rep.rel_variation)
     rows.append(_row("thm4.1", "spherical_helix", dev, 2e-2))
@@ -175,7 +173,7 @@ def _non_helix_rows(ctx):
         ("root_curve", 0.2, 0.05, 0.95, 401),
         ("helix_12_5", 0.11, None, None, DEFAULT_N),
     ):
-        _, _, g = _pair(ctx, name, phase, lo, hi, n)
+        _, g = _pair(ctx, name, phase, lo, hi, n)
         rep = general_helix_test(g)
         rows.append(
             _row(

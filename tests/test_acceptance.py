@@ -26,8 +26,7 @@ from frenetdir.direction import (
 from frenetdir.frenet import frenet_apparatus
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
-    cumulative_integral,
+    _cumulative,
     uniform_grid,
 )
 from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
@@ -53,7 +52,7 @@ def spherical_direction_pair():
     # trimmed window clear of the curvature singularities; phase centers
     # the accumulated angle away from cosine zeros
     f = donor_frame("spherical_helix", -0.49, 0.49, 801)
-    span = cumulative_integral(ScalarSamples(f.grid, f.kappa)).data[-1]
+    span = _cumulative(f.kappa, f.grid.h, 0.0)[-1]
     phase = np.pi / 2 + (np.pi / 2 - span) / 2
     dc = osculating_coefficients(f, phase)
     g = frenet_apparatus(integrate_direction_curve(direction_field(f, dc)))

@@ -29,8 +29,7 @@ from frenetdir.frenet import frenet_apparatus
 from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
-    cumulative_integral,
+    _cumulative,
     uniform_grid,
 )
 
@@ -51,7 +50,7 @@ def spherical_pair(n):
     # centered so the direction angle stays strictly inside (pi/2, pi) and
     # neither coefficient vanishes.
     f = donor("spherical_helix", -0.49, 0.49, n)
-    span = cumulative_integral(ScalarSamples(f.grid, f.kappa)).data[-1]
+    span = _cumulative(f.kappa, f.grid.h, 0.0)[-1]
     phase = np.pi / 2 + (np.pi / 2 - span) / 2
     return f, dir_curve(f, phase)
 

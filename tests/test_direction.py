@@ -140,6 +140,18 @@ class TestOsculatingCoefficients:
         assert np.signbit(minus.theta[0]) and np.signbit(minus.u[0])
         assert not np.signbit(plus.theta[0]) and not np.signbit(plus.u[0])
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        # a non-finite phase gave NaN coefficients with no sample flagged,
+        # and the constructions then failed as a field of nan length
+        f = frenet_apparatus(evaluate_catalog("circular_helix"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (osculating_coefficients, osculating_direction_curve):
+                with pytest.raises(ValueError, match=f"phase_c must be finite, got {phase}$"):
+                    build(f, phase)
+        assert "_coefficients" not in f.__dict__
+
 
 class TestDirectionField:
     def test_helix_field_components(self):

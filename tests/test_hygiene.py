@@ -5,8 +5,9 @@ products taken any other way than through numerics.rowdot, masked
 max or min reductions taken any other way than through
 numerics._masked_maxima, imports of scipy, which the package does
 not require, outside curves.arclength_reparametrize, uses of the frame
-kernel frenet._frenet, and calls of the ScalarSamples and VectorSamples
-wrappers by name.
+kernel frenet._frenet, calls of the VectorSamples wrapper by name, and
+calls of the public shims derivative and cumulative_integral in the
+package.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -243,18 +244,19 @@ def test_scipy_imports_are_found():
     assert scipy_imports(source) == [(1, None), (2, None), (6, "f"), (7, "f")]
 
 
-SAMPLES = {"ScalarSamples", "VectorSamples"}
+SAMPLES = {"VectorSamples"}
+SHIMS = {"derivative", "cumulative_integral"}
 
 
-def samples_builds(source):
-    """(line, enclosing function) of every call of ScalarSamples or
-    VectorSamples by name: ScalarSamples(...) or numerics.VectorSamples(...)."""
+def calls_by_name(source, names):
+    """(line, enclosing function) of every call of one of names by name:
+    name(...) or module.name(...)."""
     hits = []
     for node, function in nodes_in_functions(source):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in SAMPLES:
+            if name in names:
                 hits.append((node.lineno, function))
     return hits
 
@@ -265,7 +267,7 @@ def test_only_direction_field_builds_a_samples_wrapper():
     hits = [
         f"{path.relative_to(ROOT)}:{lineno} in {function}"
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for lineno, function in samples_builds(path.read_text(encoding="utf-8"))
+        for lineno, function in calls_by_name(path.read_text(encoding="utf-8"), SAMPLES)
         if (path.name, function) != ("direction.py", "direction_field")
     ]
     assert hits == []
@@ -274,11 +276,32 @@ def test_only_direction_field_builds_a_samples_wrapper():
 def test_samples_builds_are_found():
     source = (
         "def f(g, x):\n"
-        "    a = ScalarSamples(g, x)\n"
-        "    return numerics.VectorSamples(g, x), type(a)(g, x), Samples(g, x)\n"
+        "    return numerics.VectorSamples(g, x), type(x)(g, x), Samples(g, x)\n"
         "b = VectorSamples(grid, pts)\n"
     )
-    assert samples_builds(source) == [(2, "f"), (3, "f"), (4, None)]
+    assert calls_by_name(source, SAMPLES) == [(2, "f"), (3, None)]
+
+
+def test_package_calls_no_public_shim():
+    # derivative and cumulative_integral wrap the kernels _derivative and
+    # _cumulative for the benchmark's traced probe; the package calls the
+    # kernels
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} in {function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, function in calls_by_name(path.read_text(encoding="utf-8"), SHIMS)
+    ]
+    assert hits == []
+
+
+def test_shim_calls_are_found():
+    source = (
+        "def f(x, h):\n"
+        "    d = derivative(x, 1)\n"
+        "    return numerics.cumulative_integral(d), _derivative(x, 1, h), _cumulative(x, h, 0.0)\n"
+        "e = frenetdir.derivative(x, 2)\n"
+    )
+    assert calls_by_name(source, SHIMS) == [(2, "f"), (3, "f"), (4, None)]
 
 
 def frame_kernel_uses(source, module):

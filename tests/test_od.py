@@ -18,11 +18,10 @@ from frenetdir.errors import DomainError
 from frenetdir.frenet import UNIT_SPEED_TOL, FrenetData, frenet_apparatus, unit_speed_deviation
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
-    ScalarSamples,
     VectorSamples,
+    _cumulative,
     _rows,
     cross,
-    cumulative_integral,
     derivative,
     norm,
     uniform_grid,
@@ -488,7 +487,7 @@ class TestDerivativeIdentity:
         f = _IDENTITY_DONOR
         p = ODParameters(sa * a, sb * b, phase)
         gam = od_osculating_curve(f, p)
-        th = p.phase_c + cumulative_integral(ScalarSamples(f.grid, f.kappa)).data
+        th = p.phase_c + _cumulative(f.kappa, f.grid.h, 0.0)
         rho = (f.grid.values - f.grid.values[0]) + p.b
         n = rho * np.cos(th) - p.a * np.sin(th)
         pred = (
