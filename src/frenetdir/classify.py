@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import CurveSamples
 from .errors import DomainError
-from .frenet import FrenetData, frenet_apparatus
+from .frenet import FrenetData, _darboux_norm, frenet_apparatus
 from .numerics import (
     BOUNDARY_MARGIN,
     _HALF,
@@ -29,9 +29,10 @@ from .numerics import (
 # every usable sample makes the curve straight or planar
 FLAT_TOL = 1e-6
 
-# statistics of torsion/curvature and its derivative skip rows where the
-# curvature is below this fraction of the curvature/torsion norm: the ratio
-# nears its pole there.  On an osculating-direction curve that fraction is
+# statistics of torsion/curvature and of the Darboux angle's derivative
+# skip rows where the curvature is below this fraction of the
+# curvature/torsion norm: the ratio nears its pole and the frame is barely
+# resolved there.  On an osculating-direction curve that fraction is
 # |v| = |cos theta|, so the same floor serves compare_predicted's cos_floor.
 RATIO_FLOOR = 0.05
 
@@ -86,8 +87,8 @@ def constancy(values: np.ndarray, rel_tol: float) -> ConstancyReport:
 def _resolved_ratio(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Rows where curvature is at least RATIO_FLOOR times the
     curvature/torsion norm; below that the torsion/curvature ratio nears
-    its pole and its derivative stencils produce finite garbage.  Row by
-    row, so a block of rows gives the same bits as the whole array."""
+    its pole and the frame is barely resolved.  Row by row, so a block of
+    rows gives the same bits as the whole array."""
     with np.errstate(invalid="ignore"):
         frac = kappa / np.sqrt(kappa**2 + tau**2)
     return np.nan_to_num(frac) >= RATIO_FLOOR
@@ -109,23 +110,36 @@ def general_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
 
 def slant_helix_invariant(f: FrenetData) -> np.ndarray:
     """Pointwise turning measure of the principal normal direction, an (n,)
-    array: curvature^2 / (curvature^2 + torsion^2)^(3/2) times the
-    arc-length derivative of torsion/curvature.  NaN where the frame is
-    undefined or the derivative stencil touches such a sample.  Built in
-    place in two (n,) arrays beside the derivative, by the operations of
-    (kappa**2 / (kappa**2 + tau**2)**1.5) * d in their order."""
+    array: the arc-length derivative of the Darboux angle
+    atan2(torsion, curvature) over the curvature/torsion norm, which is
+    curvature^2 / (curvature^2 + torsion^2)^(3/2) times that of
+    torsion/curvature.  NaN where the frame is undefined or the derivative
+    stencil touches such a sample."""
     if not np.any(f.frenet_valid):
         raise _no_samples("slant_helix_invariant")
-    d = f._d_ds(f.ratio)
-    sq = np.square(f.kappa)
-    sigma = np.square(f.tau)
-    sq += sigma
-    with np.errstate(invalid="ignore"):
-        np.power(sq, 1.5, out=sq)
-        np.square(f.kappa, out=sigma)
-        sigma /= sq
-        sigma *= d
+    sigma = f._d_ds(f.angle)
+    sigma /= _darboux_norm(f)
     return sigma
+
+
+def _turning_rows(f: FrenetData) -> np.ndarray:
+    """Rows whose angle derivative is the frame's turning rate: rows that
+    clear RATIO_FLOOR (_resolved_ratio) and whose first-derivative stencil,
+    _HALF[1] rows to either side, reads only such rows and no normal that
+    reverses.  Below the floor the frame is barely resolved, and where the
+    curvature touches zero the nonnegative convention flips the normal, so
+    the angle has a kink that a stencil straddling it turns into finite
+    garbage.  A normal can also reverse between two rows that clear the
+    floor, where curvature and torsion reach zero together (on a direction
+    curve, where the donor's torsion changes sign), and the angle jumps
+    there."""
+    resolved = _resolved_ratio(f.kappa, f.tau)
+    # both rows of a reversal: the frame beside one is barely resolved
+    kept = rowdot(f.N[:-1], f.N[1:]) >= 0.0
+    resolved[1:] &= kept
+    resolved[:-1] &= kept
+    # the count of unresolved rows in each row's stencil window
+    return np.convolve(~resolved, np.ones(2 * _HALF[1] + 1), "same") == 0
 
 
 def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
@@ -135,11 +149,11 @@ def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     the principal normal flips orientation across curvature zeros, which
     flips the raw invariant's sign piecewise while the underlying axis
     angle stays constant.  The tripled boundary margin keeps one-sided
-    rows of the whole derivative chain out of the statistics, and samples
-    where curvature falls below RATIO_FLOOR times the curvature/torsion
-    norm are excluded, with every sample whose derivative stencil reads
-    one: the torsion/curvature ratio has a pole there and stencils that
-    straddle it produce finite garbage.
+    rows of the whole derivative chain out of the statistics, and only
+    _turning_rows are judged: where the curvature falls below RATIO_FLOOR
+    times the curvature/torsion norm the frame is unresolved, and a
+    stencil that reads such a row, or a normal that reverses, straddles
+    the kink or jump of the angle at a curvature zero.
 
     An identically-zero invariant (every general helix) is reported
     constant with degenerate_zero set: the constancy claim is true but the
@@ -150,14 +164,7 @@ def slant_helix_test(f: FrenetData, rel_tol: float = 1e-3) -> ConstancyReport:
     sigma = slant_helix_invariant(f)
     # sigma is NaN wherever the frame is undefined, so frenet_valid adds
     # nothing to the finiteness test
-    mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma)
-    # rows where the ratio nears its pole drop out, and so does every row
-    # whose first-derivative stencil, _HALF[1] rows to either side, reads one
-    resolved = _resolved_ratio(f.kappa, f.tau)
-    mask &= resolved
-    for k in range(1, _HALF[1] + 1):
-        mask[k:] &= resolved[:-k]
-        mask[:-k] &= resolved[k:]
+    mask = f.valid_interior(3 * BOUNDARY_MARGIN) & np.isfinite(sigma) & _turning_rows(f)
     if not np.any(mask):
         raise _no_samples("slant_helix_test")
     return constancy(np.abs(sigma[mask]), rel_tol)

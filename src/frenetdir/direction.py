@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import _turning_rows
 from .curves import CurveSamples, _built_curve
 from .errors import DomainError
-from .frenet import KAPPA_FLOOR, FrenetData
+from .frenet import KAPPA_FLOOR, FrenetData, _darboux_norm
 from .numerics import (
     BOUNDARY_MARGIN,
     Grid,
@@ -220,20 +221,6 @@ def compare_predicted(
     )
 
 
-def _require_no_reversal(g: FrenetData) -> None:
-    """Raise DomainError on the intervals where g's normal reverses
-    between adjacent rows.  The row mask is built only to name them, and
-    every temporary is freed before the caller builds its results."""
-    flips = rowdot(g.N[:-1], g.N[1:]) < 0.0
-    if flips.any():
-        bad = np.zeros(g.grid.n, dtype=bool)
-        bad[:-1] = flips
-        bad[1:] |= flips
-        raise DomainError(
-            f"donor_from_direction: normal reverses on {_runs_to_intervals(g.grid, bad)}"
-        )
-
-
 @dataclass(frozen=True)
 class RecoveredCurvatures:
     """The donor's curvature and torsion per sample, (n,) arrays."""
@@ -244,17 +231,20 @@ class RecoveredCurvatures:
 
 def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
     """Recover the donor's curvature and torsion from a direction curve's
-    own Frenet data: the donor torsion is the curvature/torsion norm, and
-    the donor curvature is the arc-length turning rate of their ratio.
+    own Frenet data: the donor torsion is the curvature/torsion norm
+    |omega|, and the donor curvature is the arc-length turning rate of the
+    Darboux angle atan2(tau, kappa), which is kappa^2 / |omega|^2 times
+    that of their ratio.
 
     g fixes only the product sgn(tau) sgn(cos theta): mirroring the
     donor, or shifting the phase by pi, mirrors g, and doing both moves
     g rigidly.  So the torsion comes back as |tau|, and the curvature as
     the turning rate's magnitude, nonnegative as everywhere in the
     library.  Where cos theta or the donor's torsion changes sign, g's
-    normal reverses between two samples, and the turning rate read
-    across them is not the donor's curvature: that raises DomainError
-    naming the interval."""
+    curvature touches zero and its normal reverses, so the angle has a
+    kink or a jump there, and g's frame is barely resolved beside it: both
+    results are NaN on the rows that classify._turning_rows excludes, and
+    only when no row is left does it raise DomainError."""
     # frenet_apparatus never marks a row valid below the floor, but a
     # hand-built FrenetData can
     bad = ~g.frenet_valid | (g.kappa < KAPPA_FLOOR)
@@ -262,18 +252,16 @@ def donor_from_direction(g: FrenetData) -> RecoveredCurvatures:
         raise DomainError(
             f"donor_from_direction: curvature below floor on {_runs_to_intervals(g.grid, bad)}"
         )
-    _require_no_reversal(g)
-    # in place, by the operations of |(kappa**2 / (kappa**2 + tau**2)) * d|
-    # and sqrt(kappa**2 + tau**2) in their order, d the ratio's derivative
-    d = g._d_ds(g.ratio)
-    sq = np.square(g.kappa)
-    kappa = np.square(g.tau)
-    sq += kappa
-    np.square(g.kappa, out=kappa)
-    kappa /= sq
-    kappa *= d
+    # the row mask first, so that its float temporaries do not stack on
+    # the results
+    skip = ~_turning_rows(g)
+    if skip.all():
+        raise DomainError("donor_from_direction: no row clears the ratio floor")
+    kappa = g._d_ds(g.angle)
     np.abs(kappa, out=kappa)
-    return RecoveredCurvatures(kappa=kappa, tau=np.sqrt(sq, out=sq))
+    tau = _darboux_norm(g)
+    kappa[skip] = tau[skip] = np.nan
+    return RecoveredCurvatures(kappa=kappa, tau=tau)
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ class FrenetData:
     f.T.T is that C-contiguous (3, n) array.
 
     frenet_apparatus builds one FrenetData per curve instance and hands the
-    same object to every later caller, so its arrays (the cached s and
-    ratio included) are read-only.
+    same object to every later caller, so its arrays (the cached s,
+    ratio and angle included) are read-only.
     """
 
     grid: Grid
@@ -90,6 +90,18 @@ class FrenetData:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def angle(self) -> np.ndarray:
+        """The Darboux angle atan2(tau, kappa) per sample, NaN where
+        frenet_valid is false.  Its arc-length derivative is
+        kappa^2 / (kappa^2 + tau^2) times that of the ratio, and it stays
+        bounded where the ratio has a pole.  Computed once and shared, so
+        it is read-only."""
+        out = np.arctan2(self.tau, self.kappa)
+        out[~self.frenet_valid] = np.nan
+        out.flags.writeable = False
+        return out
+
     def _d_ds(self, values: np.ndarray) -> np.ndarray:
         """Arc-length derivative (1/speed) d/dt of per-sample scalars (n,)."""
         out = _derivative(values, 1, self.grid.h)
@@ -101,6 +113,14 @@ class FrenetData:
         mask = np.zeros(self.grid.n, dtype=bool)
         mask[self.grid.interior(margin)] = True
         return mask & self.frenet_valid
+
+
+def _darboux_norm(f: FrenetData) -> np.ndarray:
+    """|omega| = sqrt(kappa^2 + tau^2) per sample, the length of the
+    Darboux vector tau T + kappa B, built in place in one (n,) array."""
+    out = np.square(f.kappa)
+    out += np.square(f.tau)
+    return np.sqrt(out, out=out)
 
 
 def _ratio(kappa: np.ndarray, tau: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -79,8 +79,10 @@ class Grid:
     def __post_init__(self):
         if self.n < MIN_SAMPLES:
             raise ValueError(f"grid needs at least {MIN_SAMPLES} samples, got {self.n}")
-        if not (isfinite(self.s_min) and isfinite(self.s_max)):
-            raise ValueError(f"grid ends must be finite, got [{self.s_min}, {self.s_max}]")
+        # NaN or infinite ends, and finite ends whose distance overflows
+        if not isfinite(self.s_max - self.s_min):
+            raise ValueError(f"grid ends must be finite and a finite distance apart, "
+                             f"got [{self.s_min}, {self.s_max}]")
         if not self.s_min < self.s_max:
             raise ValueError(f"empty grid interval [{self.s_min}, {self.s_max}]")
 

@@ -40,9 +40,11 @@ data 3.0 -> 2.0 when its panels were written term by term.  At
 n = 200001, od_osculating_curve went 2.14 -> 1.14 when a curve the
 library builds began to keep its points instead of a copy, and
 direction_field 2.00 -> 1.08 when it was written block by block;
-donor_from_direction went 1.38 -> 1.04 when it was built in place; it
-is traced on a one-sign window, [0, 1.47], since a normal that reverses
-makes it raise, and its reversal check adds nothing to that peak.
+donor_from_direction went 1.38 -> 1.04 when it was built in place, and
+1.04 -> 1.09 when it began to differentiate the Darboux angle and to
+build its row mask before its results; it is traced on a one-sign
+window, [0, 1.47], and reads the same peak on a window where the
+normal reverses.
 """
 
 import tracemalloc
@@ -234,17 +236,17 @@ def test_direction_field_writes_one_output_array(large_companion):
 def test_donor_from_direction_builds_its_results_in_place():
     # 1.38 when each factor was a whole-array temporary.  The window keeps
     # cos(theta) of one sign: on helix()'s [0, 40] the direction curve's
-    # normal reverses, and donor_from_direction raises there
+    # normal reverses, and the rows around each reversal come back NaN
     f = frenet_apparatus(evaluate_catalog("circular_helix", grid=uniform_grid(0.0, 1.47, N)))
     g = frenet_apparatus(osculating_direction_curve(f, PHASE))
-    donor_from_direction(g)  # caches g.ratio
+    donor_from_direction(g)  # caches g.angle
     assert traced_peak(lambda: donor_from_direction(g)) < 1.2
 
 
 def test_slant_helix_invariant_builds_its_result_in_place(frames):
     # 1.67 when each factor was a whole-array temporary
     _, g = frames
-    slant_helix_test(g)  # caches g.ratio
+    slant_helix_test(g)  # caches g.angle
     assert traced_peak(lambda: slant_helix_invariant(g)) < 1.3
     assert traced_peak(lambda: slant_helix_test(g)) < 1.5
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import frenetdir
 from frenetdir.classify import (
     _fit_line,
+    _resolved_ratio,
+    _turning_rows,
     classify,
     constancy,
     general_helix_test,
@@ -29,7 +31,9 @@ from frenetdir.frenet import frenet_apparatus
 from frenetdir.od import ODParameters, od_osculating_curve, verify_od_properties
 from frenetdir.numerics import (
     BOUNDARY_MARGIN,
+    _HALF,
     _cumulative,
+    rowdot,
     uniform_grid,
 )
 
@@ -194,14 +198,32 @@ class TestSlantHelixTest:
     def test_rows_whose_stencil_reads_a_pole_are_excluded(self):
         # n = 201: rows 48 and 52 clear the ratio floor themselves, but
         # their five-point stencils read row 50, below it (its curvature
-        # is 1.1e-7), and give |sigma| = 2.1e11
+        # is 1.1e-7), where the Darboux angle has a kink, and give
+        # |sigma| = 9.33 (2.1e11 when sigma read torsion/curvature's pole)
         lo, hi = catalog_entry("circular_helix").domain
         g = dir_curve(donor("circular_helix", lo, hi, 201), 0.0)
         sigma = slant_helix_invariant(g)
-        assert np.abs(sigma[[48, 52]]).min() > 1e11
+        assert np.abs(sigma[[48, 52]]).min() > 9.0
+        assert not _turning_rows(g)[[48, 52]].any()
         rep = slant_helix_test(g)
         assert rep.max < 1.001
-        assert abs(rep.mean - 1.0) < 1e-2
+        assert abs(rep.mean - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("hi, n", [(None, 201), (40.0, 4001)])
+    def test_turning_rows_match_a_row_by_row_reference(self, hi, n):
+        # a row is kept when every row its stencil reads, _HALF[1] to
+        # either side, clears the ratio floor and is neither row of a
+        # normal that reverses
+        lo, top = catalog_entry("circular_helix").domain
+        g = dir_curve(donor("circular_helix", lo, hi or top, n), 0.0)
+        ok = _resolved_ratio(g.kappa, g.tau)
+        for i in np.flatnonzero(rowdot(g.N[:-1], g.N[1:]) < 0.0):
+            ok[i:i + 2] = False
+        w = _HALF[1]
+        reference = [ok[max(i - w, 0):i + w + 1].all() for i in range(n)]
+        rows = _turning_rows(g)
+        np.testing.assert_array_equal(rows, reference)
+        assert 0 < (~rows).sum() < n // 4
 
     def test_pole_rows_break_constancy_without_exclusion(self):
         g = dir_curve(donor("helix_12_5"), 0.11)

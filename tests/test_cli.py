@@ -252,6 +252,20 @@ class TestNonFiniteOptions:
         assert message in err
         assert out == ""
 
+    def test_grid_ends_whose_distance_overflows_rejected_without_warnings(self):
+        # two finite ends, 2e308 apart: the step was inf, and three numpy
+        # RuntimeWarnings came before a misleading non-finite point error
+        env = dict(os.environ, PYTHONPATH=str(Path(frenetdir.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "frenetdir", "frenet", "--curve", "circular_helix",
+             "--s-min=-1e308", "--s-max=1e308", "--n", "9"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: grid ends must be finite and a finite distance apart, "
+                               "got [-1e+308, 1e+308]\n")
+        assert proc.stdout == ""
+
     def test_config_value_rejected_naming_the_flag(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
         path.write_text("curve = circular_helix\ntol_od = nan\n")
@@ -347,14 +361,14 @@ class TestDirect:
         assert code == 0
         assert "alignment: min 1.000000 (pass)" in out
         assert "agreement" in out and "FAIL" not in out
-        assert "sigma: mean=0.999999" in out
+        assert "sigma: mean=1 " in out
 
     def test_sigma_reported_for_slope_helix(self, capsys):
         code, out, _ = run(
             capsys, "direct", "--curve", "helix_12_5", "--phase-c", "0.11"
         )
         assert code == 0
-        assert "sigma: mean=2.39999" in out
+        assert "sigma: mean=2.4 " in out
         assert "constant=yes" in out
 
     def test_principal_family_on_line_is_domain_error(self, tmp_path, capsys):

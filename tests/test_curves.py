@@ -150,11 +150,11 @@ def _non_finite_builds():
     """Builder calls whose points hold a non-finite value, with the module
     whose _built_curve they call."""
     f = frenet_apparatus(evaluate_catalog("circular_helix"))
-    wide = uniform_grid(-1e308, 1e308, 9)
+    wide = uniform_grid(0.0, 1.6e308, 9)
     return {
         "evaluate_catalog": (curves, lambda: evaluate_catalog(
             "circular_helix", {"a": 1e300, "scale": 1e300}, uniform_grid(0.0, 1.0, 9))),
-        # an infinite step integrates a unit field to infinity
+        # a finite step whose quadrature panels overflow
         "integrate_direction_curve": (direction, lambda: integrate_direction_curve(
             VectorSamples(wide, np.tile([1.0, 0.0, 0.0], (9, 1))))),
         "od_osculating_curve": (od, lambda: od_osculating_curve(

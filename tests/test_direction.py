@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from frenetdir import numerics
 
+from frenetdir.classify import _turning_rows
 from frenetdir.curves import CurveSamples, evaluate_catalog
 from frenetdir.direction import (
     DEGENERACY_FLOOR,
@@ -493,15 +494,49 @@ class TestDonorRecovery:
         with pytest.raises(DomainError, match=r"curvature below floor on \["):
             donor_from_direction(g)
 
-    def test_sign_change_of_cos_theta_rejected_with_interval(self):
-        # theta = s/2 + pi/4 reaches pi/2 at s = pi/2, between rows 157
-        # and 158: g's curvature stays above the floor on both, but its
-        # normal reverses, and the turning rate there is not the donor's
-        grid = uniform_grid(0.0, 4.0, 401)
-        _, _, g = constructed("circular_helix", grid=grid)
+    @pytest.mark.parametrize("name, hi, n, phase", [
+        ("circular_helix", 4.0, 401, np.pi / 4),
+        ("circular_helix", 40.0, 4001, np.pi / 4),
+        ("helix_12_5", 169.0, 2001, 0.11),
+    ], ids=["helix-one-reversal", "helix-many-reversals", "helix_12_5"])
+    def test_recovery_across_normal_reversals(self, name, hi, n, phase):
+        # cos(theta) changes sign inside each window, so g's normal
+        # reverses (on [0, 4] between rows 157 and 158, at s = pi/2): both
+        # results are NaN exactly on the rows _turning_rows excludes, and
+        # the round-trip bound holds on every other interior row
+        grid = uniform_grid(0.0, hi, n)
+        f, _, g = constructed(name, grid=grid, phase=phase)
         assert np.all(g.kappa >= KAPPA_FLOOR)
-        with pytest.raises(DomainError, match=r"normal reverses on \[1\.57, 1\.58\]$"):
-            donor_from_direction(g)
+        rec = donor_from_direction(g)
+        skip = ~_turning_rows(g)
+        np.testing.assert_array_equal(np.isnan(rec.kappa), skip)
+        np.testing.assert_array_equal(np.isnan(rec.tau), skip)
+        assert 0 < skip.sum() < n // 10
+        inner = g.valid_interior(6) & ~skip
+        kap, tau = f.kappa[n // 2], f.tau[n // 2]
+        assert np.max(np.abs(rec.kappa[inner] - kap) / kap) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - tau) / tau) < 1e-3
+
+    def test_recovery_across_a_donor_torsion_zero(self):
+        # the torsion of (t, t^2, t^4) changes sign between rows 197 and
+        # 198: g's curvature and torsion reach zero together there, clear
+        # of the ratio floor, its normal reverses and the angle jumps.  The
+        # rows whose stencil reads either row of that reversal are NaN; a
+        # second NaN band, past row 230, is where cos(theta) changes sign.
+        # Beside the torsion zero g's frame is barely resolved, so the
+        # curvature bound is looser there (2.0e-3 measured, 1.9e-6 for
+        # |t| > 0.05)
+        grid = uniform_grid(-0.5, 0.51, 400)
+        t = grid.values
+        f = frenet_apparatus(CurveSamples(grid, np.stack([t, t**2, t**4], axis=1)))
+        g = frenet_apparatus(osculating_direction_curve(f, 0.3))
+        rec = donor_from_direction(g)
+        assert np.flatnonzero(np.isnan(rec.kappa[:230])).tolist() == list(range(195, 201))
+        inner = g.valid_interior(6) & np.isfinite(rec.kappa)
+        assert np.max(np.abs(rec.kappa[inner] - f.kappa[inner]) / f.kappa[inner]) < 5e-3
+        far = inner & (np.abs(t) > 0.05)
+        assert np.max(np.abs(rec.kappa[far] - f.kappa[far]) / f.kappa[far]) < 1e-3
+        assert np.max(np.abs(rec.tau[inner] - np.abs(f.tau[inner])) / np.abs(f.tau[inner])) < 1e-3
 
     def test_hand_built_frame_below_floor_rejected(self):
         # frenet_apparatus never marks such a row valid; a hand-built
@@ -521,6 +556,24 @@ class TestDonorRecovery:
             speed=np.ones(n),
         )
         with pytest.raises(DomainError, match=r"curvature below floor on \[0\.8, 0\.8\]"):
+            donor_from_direction(fake)
+
+    def test_no_turning_row_rejected(self):
+        # curvature above KAPPA_FLOOR everywhere, but below RATIO_FLOOR
+        # times the curvature/torsion norm on every row
+        grid = uniform_grid(0.0, 2.0, 101)
+        n = grid.n
+        fake = FrenetData(
+            grid=grid,
+            T=np.tile([1.0, 0.0, 0.0], (n, 1)),
+            N=np.tile([0.0, 1.0, 0.0], (n, 1)),
+            B=np.tile([0.0, 0.0, 1.0], (n, 1)),
+            kappa=np.full(n, 0.01),
+            tau=np.ones(n),
+            frenet_valid=np.ones(n, dtype=bool),
+            speed=np.ones(n),
+        )
+        with pytest.raises(DomainError, match=r"^donor_from_direction: no row clears the ratio floor$"):
             donor_from_direction(fake)
 
 

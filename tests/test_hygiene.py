@@ -5,9 +5,10 @@ products taken any other way than through numerics.rowdot, masked
 max or min reductions taken any other way than through
 numerics._masked_maxima, imports of scipy, which the package does
 not require, outside curves.arclength_reparametrize, uses of the frame
-kernel frenet._frenet, calls of the VectorSamples wrapper by name, and
+kernel frenet._frenet, calls of the VectorSamples wrapper by name,
 calls of the public shims derivative and cumulative_integral in the
-package.
+package, and arc-length derivatives (FrenetData._d_ds) in the package of
+anything but the Darboux angle.
 
 A plain `ast` scan, so it runs without any linter installed.  A name counts
 as used when it appears as a bare name anywhere in the module (attribute
@@ -350,3 +351,40 @@ def test_frame_kernel_uses_are_found():
     )
     assert frame_kernel_uses(source, "od") == [(4, "f"), (7, "g")]
     assert frame_kernel_uses("def h(c):\n    return _frenet(c)\n", "frenet") == [(2, "h")]
+
+
+def non_angle_derivatives(source):
+    """(line, argument) of every _d_ds(...) call, by method or by name,
+    whose one argument is not an .angle attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            args = node.args
+            if name == "_d_ds" and not (len(args) == 1 and not node.keywords
+                                        and isinstance(args[0], ast.Attribute)
+                                        and args[0].attr == "angle"):
+                hits.append((node.lineno, ", ".join(map(ast.unparse, args))))
+    return hits
+
+
+def test_every_arc_length_derivative_is_of_the_angle():
+    # the Darboux angle is the one bounded primitive for the turning of
+    # torsion/curvature; its ratio has a pole where the curvature vanishes
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno} d/ds of {arg}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for lineno, arg in non_angle_derivatives(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def test_non_angle_derivatives_are_found():
+    source = (
+        "d = f._d_ds(f.ratio)\n"
+        "e = g._d_ds(g.angle)\n"
+        "def h(f, x):\n"
+        "    return _d_ds(x), f._d_ds(values=f.angle), f.angle\n"
+    )
+    assert non_angle_derivatives(source) == [(1, "f.ratio"), (4, "x"), (4, "")]

@@ -47,10 +47,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             uniform_grid(2.0, 1.0, 11)
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                        (-1e308, 1e308)])
     def test_rejects_non_finite_end(self, lo, hi):
-        # an infinite end gave h = inf, and the first op on the grid then
-        # failed on a nan sample
+        # an infinite end, or finite ends whose distance overflows, gave
+        # h = inf, and the first op on the grid then failed on a nan sample
         with pytest.raises(ValueError, match="grid ends must be finite") as exc:
             uniform_grid(lo, hi, 10)
         assert f"[{lo}, {hi}]" in str(exc.value)
